@@ -9,6 +9,7 @@ No operation mutates its inputs.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,40 +38,17 @@ class Tensor:
         self._op = "leaf"
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def ndim(self):
         return self.data.ndim
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, grad):
         if self.grad is None:
             self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
             self.grad = self.grad + grad
-
-    def backward(self):
-        backward(self)
-
-    # Operator sugar over the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Graph:
@@ -127,19 +105,17 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def backward(loss, graph=None):
+def backward(loss):
     """Propagate d(loss)/d(tensor) into .grad for every requires_grad tensor.
 
     loss must be a scalar (one element). Gradients accumulate additively
-    across uses and across repeated backward calls; call zero_grad between
+    across uses and across repeated backward calls; clear them between
     optimization steps.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if graph is None:
-        graph = Graph.trace(loss)
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(graph.nodes):
+    for node in reversed(Graph.trace(loss).nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
@@ -271,10 +247,8 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
     def backward_fn(grad):
         if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(grad, a.data.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(grad, axis), a.data.shape).copy())
+            g = grad if axis is None else np.expand_dims(grad, axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
     return _result(data, (a,), backward_fn, "reduce_sum")
 
 
@@ -283,10 +257,8 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     data = a.data.mean(axis=axis)
     def backward_fn(grad):
         if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(grad / count, a.data.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(grad / count, axis), a.data.shape).copy())
+            g = grad / count if axis is None else np.expand_dims(grad / count, axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
     return _result(data, (a,), backward_fn, "reduce_mean")
 
 
@@ -471,7 +443,9 @@ def tensor_from_bytes(buf, offset: int = 0):
         raise ValueError("corrupt tensor header: negative rank")
     dims = struct.unpack_from(f"<{rank}q", buf, offset)
     offset += 8 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)
+    if any(d < 0 for d in dims) or offset + 8 * count > len(buf):
+        raise ValueError(f"corrupt tensor header: dims {dims} do not fit the buffer")
     arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
     offset += 8 * count
     return arr.astype(np.float64), offset

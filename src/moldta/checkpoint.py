@@ -41,23 +41,30 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "Checkpoint":
+        """Parse a checkpoint; any malformed or truncated input is a DataError."""
         if buf[: len(MAGIC)] != MAGIC:
             raise DataError("not a checkpoint file (bad magic)")
-        offset = len(MAGIC)
-        (meta_len,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        meta = json.loads(buf[offset:offset + meta_len].decode("utf-8"))
-        offset += meta_len
-        (count,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<Q", buf, offset)
+        try:
+            offset = len(MAGIC)
+            (meta_len,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
-            name = buf[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            arr, offset = tensor_from_bytes(buf, offset)
-            tensors[name] = arr
+            meta = json.loads(buf[offset:offset + meta_len].decode("utf-8"))
+            offset += meta_len
+            (count,) = struct.unpack_from("<Q", buf, offset)
+            offset += 8
+            tensors = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack_from("<Q", buf, offset)
+                offset += 8
+                name = buf[offset:offset + name_len].decode("utf-8")
+                offset += name_len
+                tensors[name], offset = tensor_from_bytes(buf, offset)
+        except (struct.error, ValueError) as exc:
+            raise DataError(f"corrupt checkpoint: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataError("corrupt checkpoint: metadata is not a JSON object")
+        if offset != len(buf):
+            raise DataError(f"corrupt checkpoint: {len(buf) - offset} trailing bytes")
         return cls(meta=meta, tensors=tensors)
 
     @classmethod
@@ -73,3 +80,17 @@ class Checkpoint:
         skip = len(prefix)
         return {name[skip:]: arr for name, arr in self.tensors.items()
                 if name.startswith(prefix)}
+
+    def restore(self, named: dict, prefix: str = ""):
+        """Overwrite each named tensor's data with the array stored under
+        prefix + name; every name must be present with the tensor's shape."""
+        arrays = self.select(prefix)
+        missing = sorted(set(named) - set(arrays))
+        if missing:
+            raise ValueError(f"checkpoint missing tensors under {prefix!r}: {missing[:5]}")
+        for name, tensor in named.items():
+            arr = arrays[name]
+            if arr.shape != tensor.data.shape:
+                raise ValueError(f"shape mismatch for {prefix}{name}: "
+                                 f"{arr.shape} vs {tensor.data.shape}")
+            tensor.data = arr.copy()

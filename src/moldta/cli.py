@@ -19,11 +19,10 @@ from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, build_vocab, tokenize_
 from .data import (format_ranking, load_affinity_dataset, load_candidates,
                    load_predictions, rank_candidates, split_folds)
 from .errors import DataError, NumericalError
-from .interaction import InteractionConfig
 from .metrics import evaluate
-from .model import MODE_PRESETS, DtiModel, ModelConfig
-from .protein_cnn import ProteinCnnConfig
-from .training import (TrainRunConfig, encode_affinity_data, finetune, pretrain)
+from .model import MODE_PRESETS, DtiModel, ModelConfig, keep_rep_for
+from .training import (TrainRunConfig, check_pretrain_kind, encode_affinity_data,
+                       finetune, pretrain)
 from .transformer import TransformerConfig
 
 
@@ -36,16 +35,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-KNOWN_CONFIG_KEYS = {
-    "model.num_layers", "model.num_heads", "model.hidden", "model.intermediate",
-    "model.dropout", "model.mol_max_len", "model.prot_max_len", "model.embed_dim",
-    "model.filter_lengths", "model.filter_counts", "model.dense_sizes",
-    "model.truncation_pooling",
-    "train.batch_size", "train.steps", "train.epochs", "train.learning_rate",
-    "train.warmup_fraction", "train.checkpoint_interval", "train.log_interval",
-    "train.seed",
-    "data.heldout_fraction",
+def _int_tuple(raw: str) -> tuple:
+    return tuple(int(part) for part in raw.split(","))
+
+
+# Config key -> (parser, the sections whose field named like the key's last
+# part it sets). Sections are codec, transformer, protein, interaction,
+# model (ModelConfig itself), run (TrainRunConfig) and data. An unset field
+# keeps its dataclass default or the dataset mode's preset.
+CONFIG_KEYS = {
+    "model.num_layers": (int, ("transformer",)),
+    "model.num_heads": (int, ("transformer",)),
+    "model.hidden": (int, ("transformer",)),
+    "model.intermediate": (int, ("transformer",)),
+    "model.dropout": (float, ("transformer", "interaction")),
+    "model.mol_max_len": (int, ("codec",)),
+    "model.prot_max_len": (int, ("codec",)),
+    "model.embed_dim": (int, ("protein",)),
+    "model.filter_lengths": (_int_tuple, ("protein",)),
+    "model.filter_counts": (_int_tuple, ("protein",)),
+    "model.dense_sizes": (_int_tuple, ("interaction",)),
+    "model.truncation_pooling": (str, ("model",)),
+    "train.batch_size": (int, ("run",)),
+    "train.steps": (int, ("run",)),
+    "train.epochs": (int, ("run",)),
+    "train.learning_rate": (float, ("run",)),
+    "train.warmup_fraction": (float, ("run",)),
+    "train.checkpoint_interval": (int, ("run",)),
+    "train.log_interval": (int, ("run",)),
+    "train.seed": (int, ("run",)),
+    "data.heldout_fraction": (float, ("data",)),
 }
+HELDOUT_FRACTION = 0.1
 
 
 def load_config(path) -> dict:
@@ -63,31 +84,32 @@ def load_config(path) -> dict:
             raise UsageError(f"{path} line {lineno}: expected key = value")
         key, value = stripped.split("=", 1)
         key = key.strip()
-        if key not in KNOWN_CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise UsageError(f"{path} line {lineno}: unknown config key {key!r}")
         out[key] = value.strip()
     return out
 
 
-def _get(config, key, cast, default):
-    raw = config.get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"config key {key}: bad value {raw!r}") from exc
-
-
-def _int_tuple(raw: str) -> tuple:
-    return tuple(int(part) for part in raw.split(","))
-
-
-def _pick(flag, config, key, cast, default):
-    """Command-line flag beats config file beats default."""
-    if flag is not None:
-        return flag
-    return _get(config, key, cast, default)
+def _sections(args, *names) -> dict:
+    """Parse the --config values that set fields of the named sections into
+    {section: {field: value}}; keys for other sections stay unparsed.
+    --seed beats train.seed."""
+    config = load_config(args.config) if args.config else {}
+    out = {name: {} for name in names}
+    for key, raw in config.items():
+        cast, sections = CONFIG_KEYS[key]
+        sections = [section for section in sections if section in out]
+        if not sections:
+            continue
+        try:
+            value = cast(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: bad value {raw!r}") from exc
+        for section in sections:
+            out[section][key.split(".", 1)[1]] = value
+    if args.seed is not None and "run" in out:
+        out["run"]["seed"] = args.seed
+    return out
 
 
 def _read_lines(path) -> list:
@@ -103,32 +125,6 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _transformer_config(config, vocab_size: int, mol_max_len: int) -> TransformerConfig:
-    return TransformerConfig(
-        vocab_size=vocab_size,
-        num_layers=_get(config, "model.num_layers", int, 8),
-        num_heads=_get(config, "model.num_heads", int, 8),
-        hidden=_get(config, "model.hidden", int, 128),
-        intermediate=_get(config, "model.intermediate", int, 512),
-        dropout=_get(config, "model.dropout", float, 0.1),
-        max_len=mol_max_len,
-    )
-
-
-def _run_config(args, config) -> TrainRunConfig:
-    return TrainRunConfig(
-        seed=_pick(args.seed, config, "train.seed", int, 0),
-        batch_size=_get(config, "train.batch_size", int, 32),
-        steps=_get(config, "train.steps", int, 1000),
-        epochs=_get(config, "train.epochs", int, 10),
-        learning_rate=_get(config, "train.learning_rate", float,
-                           getattr(args, "default_lr", 1e-4)),
-        warmup_fraction=_get(config, "train.warmup_fraction", float, 0.01),
-        checkpoint_interval=_get(config, "train.checkpoint_interval", int, 0),
-        log_interval=_get(config, "train.log_interval", int, 100),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -140,18 +136,16 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    mol_max_len = _get(config, "model.mol_max_len", int, 100)
-    codec_cfg = CodecConfig(mol_max_len=mol_max_len,
-                            prot_max_len=_get(config, "model.prot_max_len", int, 1000))
+    sections = _sections(args, "codec", "transformer", "model", "run", "data")
+    codec_cfg = CodecConfig(**sections["codec"])
     lines = [line for line in _read_lines(args.corpus) if line]
     if not lines:
         raise DataError(f"{args.corpus}: no molecules")
     vocab = Vocab.load(args.vocab) if args.vocab else build_vocab(lines, MOLECULE)
     if vocab.kind != MOLECULE:
         raise DataError("pretraining requires a molecule vocabulary")
-    run = _run_config(args, config)
-    heldout_fraction = _get(config, "data.heldout_fraction", float, 0.1)
+    run = TrainRunConfig(**sections["run"])
+    heldout_fraction = sections["data"].get("heldout_fraction", HELDOUT_FRACTION)
     rng = np.random.default_rng(run.seed)
     order = rng.permutation(len(lines))
     n_heldout = int(len(lines) * heldout_fraction)
@@ -159,13 +153,14 @@ def cmd_pretrain(args) -> int:
     train = [lines[i] for i in order[n_heldout:]]
     if not train:
         raise DataError("heldout fraction leaves no training molecules")
-    tcfg = _transformer_config(config, len(vocab), mol_max_len)
-    pooling = _get(config, "model.truncation_pooling", str, "rep")
+    tcfg = TransformerConfig(vocab_size=len(vocab), max_len=codec_cfg.mol_max_len,
+                             **sections["transformer"])
+    keep_rep = keep_rep_for(sections["model"].get("truncation_pooling",
+                                                  ModelConfig.truncation_pooling))
 
     os.makedirs(args.out, exist_ok=True)
     result = pretrain(train, vocab, tcfg, run, codec_cfg=codec_cfg, heldout=heldout,
-                      keep_rep_when_truncated=(pooling == "rep"),
-                      checkpoint_dir=args.out, log=print)
+                      keep_rep_when_truncated=keep_rep, checkpoint_dir=args.out, log=print)
     ckpt_path = os.path.join(args.out, "pretrain.ckpt")
     result.checkpoint.save(ckpt_path)
     vocab.save(os.path.join(args.out, "mol_vocab.txt"))
@@ -180,31 +175,13 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _model_config_for(args, config, mode: str, mol_vocab_size: int,
-                      prot_vocab_size: int, codec_cfg: CodecConfig) -> ModelConfig:
-    preset = MODE_PRESETS[mode]
-    transformer = _transformer_config(config, mol_vocab_size, codec_cfg.mol_max_len)
-    protein = ProteinCnnConfig(
-        vocab_size=prot_vocab_size,
-        embed_dim=_get(config, "model.embed_dim", int, 128),
-        filter_lengths=_get(config, "model.filter_lengths", _int_tuple,
-                            preset["filter_lengths"]),
-        filter_counts=_get(config, "model.filter_counts", _int_tuple, (32, 64, 96)),
-    )
-    interaction = InteractionConfig(
-        dense_sizes=_get(config, "model.dense_sizes", _int_tuple, preset["dense_sizes"]),
-        dropout=_get(config, "model.dropout", float, 0.1),
-    )
-    return ModelConfig(codec=codec_cfg, transformer=transformer, protein=protein,
-                       interaction=interaction,
-                       truncation_pooling=_get(config, "model.truncation_pooling",
-                                               str, "rep"))
-
-
 def cmd_finetune(args) -> int:
-    config = load_config(args.config) if args.config else {}
+    sections = _sections(args, "codec", "transformer", "protein", "interaction",
+                         "model", "run")
+    run = TrainRunConfig(**{"learning_rate": MODE_PRESETS[args.mode]["learning_rate"],
+                            **sections["run"]})
     records = load_affinity_dataset(args.data, mode=args.mode, raw_kd=args.raw_kd)
-    split = split_folds(records, seed=_pick(args.seed, config, "train.seed", int, 0))
+    split = split_folds(records, seed=run.seed)
     if not 0 <= args.fold < len(split.folds):
         raise UsageError(f"--fold must lie in 0..{len(split.folds) - 1}")
     train_records, dev_records = split.splits()[args.fold]
@@ -213,23 +190,18 @@ def cmd_finetune(args) -> int:
 
     warm = Checkpoint.load(args.warm_start) if args.warm_start else None
     if warm is not None:
-        codec_cfg = CodecConfig(mol_max_len=warm.meta["codec"]["mol_max_len"],
-                                prot_max_len=_get(config, "model.prot_max_len", int, 1000))
+        check_pretrain_kind(warm)
+        sections["codec"]["mol_max_len"] = warm.meta["codec"]["mol_max_len"]
         mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(warm.meta["mol_vocab"]))
     else:
-        codec_cfg = CodecConfig(mol_max_len=_get(config, "model.mol_max_len", int, 100),
-                                prot_max_len=_get(config, "model.prot_max_len", int, 1000))
         mol_vocab = build_vocab((r.smiles for r in records), MOLECULE)
     prot_vocab = build_vocab((r.fasta for r in records), PROTEIN)
 
-    model_cfg = _model_config_for(args, config, args.mode, len(mol_vocab),
-                                  len(prot_vocab), codec_cfg)
-    args.default_lr = MODE_PRESETS[args.mode]["learning_rate"]
-    run = _run_config(args, config)
-    train_enc = encode_affinity_data(train_records, mol_vocab, prot_vocab, codec_cfg,
-                                     model_cfg.keep_rep_when_truncated)
-    dev_enc = encode_affinity_data(dev_records, mol_vocab, prot_vocab, codec_cfg,
-                                   model_cfg.keep_rep_when_truncated)
+    model_cfg = ModelConfig.for_mode(args.mode, len(mol_vocab), len(prot_vocab),
+                                     sections, **sections["model"])
+    train_enc, dev_enc = (encode_affinity_data(part, mol_vocab, prot_vocab, model_cfg.codec,
+                                               model_cfg.keep_rep_when_truncated)
+                          for part in (train_records, dev_records))
     result = finetune(train_enc, dev_enc, model_cfg, run, mol_vocab, prot_vocab,
                       warm_start=warm, log=print)
     os.makedirs(args.out, exist_ok=True)
@@ -307,7 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tokenize", help="print the token stream for one molecule")
     p.add_argument("smiles")
-    p.add_argument("--mol-max-len", type=int, default=100)
+    p.add_argument("--mol-max-len", type=int, default=CodecConfig.mol_max_len)
     p.set_defaults(fn=cmd_tokenize)
 
     p = sub.add_parser("pretrain", help="masked-token pretraining on a molecule corpus")

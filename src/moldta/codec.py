@@ -25,6 +25,7 @@ MASK = "[MASK]"
 
 MOL_SPECIALS = (PAD, REP, BEGIN, END, MASK)
 PROT_SPECIALS = (PAD,)
+SPECIALS = {MOLECULE: MOL_SPECIALS, PROTEIN: PROT_SPECIALS}
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,10 @@ class Vocab:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (MOLECULE, PROTEIN):
+        if self.kind not in SPECIALS:
             raise ValueError(f"unknown vocab kind {self.kind!r}")
-        specials = MOL_SPECIALS if self.kind == MOLECULE else PROT_SPECIALS
-        if tuple(self.tokens[: len(specials)]) != specials:
-            raise ValueError(f"{self.kind} vocab must start with {specials}")
+        if tuple(self.tokens[: len(self.specials)]) != self.specials:
+            raise ValueError(f"{self.kind} vocab must start with {self.specials}")
         index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocab")
@@ -51,7 +51,7 @@ class Vocab:
 
     @property
     def specials(self):
-        return MOL_SPECIALS if self.kind == MOLECULE else PROT_SPECIALS
+        return SPECIALS[self.kind]
 
     @property
     def pad_id(self):
@@ -119,7 +119,6 @@ def build_vocab(corpus, kind: str) -> Vocab:
     Ordering is deterministic: special tokens first, then observed characters
     sorted lexicographically.
     """
-    specials = MOL_SPECIALS if kind == MOLECULE else PROT_SPECIALS
     seen = set()
     empty = True
     for line in corpus:
@@ -127,7 +126,19 @@ def build_vocab(corpus, kind: str) -> Vocab:
         seen.update(line)
     if empty:
         raise DataError("empty corpus")
-    return Vocab(kind=kind, tokens=specials + tuple(sorted(seen)))
+    return Vocab(kind=kind, tokens=SPECIALS[kind] + tuple(sorted(seen)))
+
+
+def stack_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and masks of equal-length encoded sequences as [B, L] batches."""
+    return np.stack([s.ids for s in seqs]), np.stack([s.mask for s in seqs])
+
+
+def _padded(ids: list, limit: int, truncated: bool) -> EncodedSequence:
+    """Pad ids with [PAD] (id 0) to limit; the mask marks the real prefix."""
+    real = len(ids)
+    return EncodedSequence(ids=np.array(ids + [0] * (limit - real), dtype=np.int64),
+                           mask=np.arange(limit) < real, truncated=truncated)
 
 
 def _lookup(chars: str, vocab: Vocab) -> list[int]:
@@ -140,37 +151,35 @@ def _lookup(chars: str, vocab: Vocab) -> list[int]:
     return ids
 
 
+def _molecule_window(payload: list, limit: int, keep_rep: bool, rep, begin, end):
+    """Decorate a payload as rep begin payload end, truncating past limit.
+
+    A decorated sequence longer than limit loses its boundary tokens and keeps
+    the middle window of the payload (head and tail truncated together);
+    keep_rep retains rep in front and shrinks the window by one. Returns the
+    items and whether truncation happened.
+    """
+    if len(payload) + 3 <= limit:
+        return [rep, begin, *payload, end], False
+    head = [rep] if keep_rep else []
+    window = min(len(payload), limit - len(head))
+    start = (len(payload) - window) // 2
+    return head + payload[start:start + window], True
+
+
 def encode_molecule(smiles: str, vocab: Vocab, cfg: CodecConfig,
                     keep_rep_when_truncated: bool = False) -> EncodedSequence:
     """Encode a molecule string to [REP] [BEGIN] chars [END] padded to mol_max_len.
 
-    When the decorated sequence would exceed mol_max_len, the boundary tokens
-    are dropped and the middle window of the payload is kept (head and tail
-    truncated together); with keep_rep_when_truncated the [REP] token is
-    retained at position 0 and the payload window shrinks by one.
+    Over-long molecules are truncated as _molecule_window describes, keeping
+    [REP] at position 0 when keep_rep_when_truncated is set.
     """
     if vocab.kind != MOLECULE:
         raise ValueError("encode_molecule requires a molecule vocab")
-    limit = cfg.mol_max_len
-    payload = _lookup(smiles, vocab)
-    n = len(payload)
-    if n + 3 <= limit:
-        ids = [vocab.id_of(REP), vocab.id_of(BEGIN)] + payload + [vocab.id_of(END)]
-        truncated = False
-    elif keep_rep_when_truncated:
-        window = min(n, limit - 1)
-        start = (n - window) // 2
-        ids = [vocab.id_of(REP)] + payload[start:start + window]
-        truncated = True
-    else:
-        window = min(n, limit)
-        start = (n - window) // 2
-        ids = payload[start:start + window]
-        truncated = True
-    real = len(ids)
-    ids = ids + [vocab.pad_id] * (limit - real)
-    mask = np.arange(limit) < real
-    return EncodedSequence(ids=np.array(ids, dtype=np.int64), mask=mask, truncated=truncated)
+    ids, truncated = _molecule_window(_lookup(smiles, vocab), cfg.mol_max_len,
+                                      keep_rep_when_truncated, vocab.id_of(REP),
+                                      vocab.id_of(BEGIN), vocab.id_of(END))
+    return _padded(ids, cfg.mol_max_len, truncated)
 
 
 def encode_protein(fasta: str, vocab: Vocab, cfg: CodecConfig) -> EncodedSequence:
@@ -180,14 +189,9 @@ def encode_protein(fasta: str, vocab: Vocab, cfg: CodecConfig) -> EncodedSequenc
     """
     if vocab.kind != PROTEIN:
         raise ValueError("encode_protein requires a protein vocab")
-    limit = cfg.prot_max_len
     payload = _lookup(fasta, vocab)
-    truncated = len(payload) > limit
-    ids = payload[:limit]
-    real = len(ids)
-    ids = ids + [vocab.pad_id] * (limit - real)
-    mask = np.arange(limit) < real
-    return EncodedSequence(ids=np.array(ids, dtype=np.int64), mask=mask, truncated=truncated)
+    return _padded(payload[:cfg.prot_max_len], cfg.prot_max_len,
+                   len(payload) > cfg.prot_max_len)
 
 
 def decode(ids, vocab: Vocab) -> str:
@@ -207,9 +211,4 @@ def decode(ids, vocab: Vocab) -> str:
 def tokenize_molecule(smiles: str, cfg: CodecConfig | None = None) -> list[str]:
     """Token stream (strings, no padding) for one molecule, truncation included."""
     cfg = cfg or CodecConfig()
-    n = len(smiles)
-    if n + 3 <= cfg.mol_max_len:
-        return [REP, BEGIN, *smiles, END]
-    window = min(n, cfg.mol_max_len)
-    start = (n - window) // 2
-    return list(smiles[start:start + window])
+    return _molecule_window(list(smiles), cfg.mol_max_len, False, REP, BEGIN, END)[0]

@@ -25,13 +25,6 @@ class InteractionConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {"dense_sizes": list(self.dense_sizes), "dropout": self.dropout}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InteractionConfig":
-        return cls(dense_sizes=tuple(d["dense_sizes"]), dropout=d["dropout"])
-
 
 class InteractionWeights:
     def __init__(self, cfg: InteractionConfig, in_width: int, rng):
@@ -70,16 +63,6 @@ def predict_affinity_batch(m_rep: Tensor, p_rep: Tensor, w: InteractionWeights,
         x = ad.dropout(x, cfg.dropout, training, rng)
     out = ad.add(ad.matmul(x, w.reg_w), w.reg_b)
     return ad.reshape(out, out.data.shape[:-1])
-
-
-def predict_affinity(m_rep: Tensor, p_rep: Tensor, w: InteractionWeights,
-                     cfg: InteractionConfig, training: bool = False, rng=None) -> Tensor:
-    """Single-pair score: unbounded real scalar."""
-    out = predict_affinity_batch(
-        ad.reshape(m_rep, (1,) + m_rep.data.shape),
-        ad.reshape(p_rep, (1,) + p_rep.data.shape),
-        w, cfg, training=training, rng=rng)
-    return ad.take_index(out, 0, 0)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,19 +18,6 @@ DAVIS_THRESHOLD = 7.0    # binding when transformed dissociation score >= 7
 KIBA_THRESHOLD = 12.1    # binding when composite bioactivity score >= 12.1
 
 MODE_THRESHOLDS = {"davis": DAVIS_THRESHOLD, "kiba": KIBA_THRESHOLD}
-
-
-class EvalPair(NamedTuple):
-    y: float
-    y_hat: float
-
-
-def split_pairs(pairs):
-    """Unzip an iterable of (y, y_hat) pairs into two float arrays."""
-    arr = np.asarray([(p[0], p[1]) for p in pairs], dtype=np.float64)
-    if arr.size == 0:
-        return np.empty(0), np.empty(0)
-    return arr[:, 0], arr[:, 1]
 
 
 def _as_arrays(y, y_hat):
@@ -187,20 +174,3 @@ def evaluate(y, y_hat, dataset_mode: str) -> MetricsReport:
             report.errors[name] = str(exc)
     return report
 
-
-def aggregate_reports(reports) -> str:
-    """Mean and sample std (n-1) across fold reports, one line per metric."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    lines = [f"folds = {len(reports)}"]
-    for name in ("mse", "ci", "rm2", "aupr"):
-        values = [getattr(r, name) for r in reports]
-        if any(v is None for v in values):
-            lines.append(f"{name} = error: missing in some folds")
-            continue
-        arr = np.asarray(values, dtype=np.float64)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        lines.append(f"{name}_mean = {float(arr.mean())!r}")
-        lines.append(f"{name}_std = {std!r}")
-    return "\n".join(lines) + "\n"

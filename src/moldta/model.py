@@ -8,14 +8,14 @@ so a saved model is self-contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
-from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab
+from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, stack_sequences
 from .interaction import InteractionConfig, InteractionWeights, predict_affinity_batch
 from .protein_cnn import ProteinCnnConfig, ProteinCnnWeights, protein_forward_ids
 from .transformer import TransformerConfig, TransformerWeights
@@ -27,6 +27,13 @@ MODE_PRESETS = {
     "davis": {"filter_lengths": (8, 8, 8), "dense_sizes": (1024, 512),
               "learning_rate": 1e-3},
 }
+
+
+def keep_rep_for(truncation_pooling: str) -> bool:
+    """Validate a pooling name; True when truncated molecules keep [REP]."""
+    if truncation_pooling not in ("rep", "mean"):
+        raise ValueError("truncation_pooling must be 'rep' or 'mean'")
+    return truncation_pooling == "rep"
 
 
 @dataclass(frozen=True)
@@ -42,52 +49,44 @@ class ModelConfig:
     truncation_pooling: str = "rep"
 
     def __post_init__(self):
-        if self.truncation_pooling not in ("rep", "mean"):
-            raise ValueError("truncation_pooling must be 'rep' or 'mean'")
+        keep_rep_for(self.truncation_pooling)
         if self.codec.mol_max_len != self.transformer.max_len:
             raise ValueError("codec mol_max_len must equal transformer max_len")
 
     @property
     def keep_rep_when_truncated(self) -> bool:
-        return self.truncation_pooling == "rep"
-
-    def to_dict(self) -> dict:
-        return {
-            "codec": {"mol_max_len": self.codec.mol_max_len,
-                      "prot_max_len": self.codec.prot_max_len},
-            "transformer": self.transformer.to_dict(),
-            "protein": self.protein.to_dict(),
-            "interaction": self.interaction.to_dict(),
-            "truncation_pooling": self.truncation_pooling,
-        }
+        return keep_rep_for(self.truncation_pooling)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            codec=CodecConfig(**d["codec"]),
-            transformer=TransformerConfig.from_dict(d["transformer"]),
-            protein=ProteinCnnConfig.from_dict(d["protein"]),
-            interaction=InteractionConfig.from_dict(d["interaction"]),
-            truncation_pooling=d.get("truncation_pooling", "rep"),
-        )
+        """Inverse of dataclasses.asdict, as stored in checkpoint metadata."""
+        return cls(**{**d, "codec": CodecConfig(**d["codec"]),
+                      "transformer": TransformerConfig(**d["transformer"]),
+                      "protein": ProteinCnnConfig(**d["protein"]),
+                      "interaction": InteractionConfig(**d["interaction"])})
 
     @classmethod
     def for_mode(cls, mode: str, mol_vocab_size: int, prot_vocab_size: int,
-                 **overrides) -> "ModelConfig":
+                 sections: dict | None = None, **overrides) -> "ModelConfig":
+        """The dataclass defaults overlaid with the mode's preset, then with
+        `sections` ({"codec"|"transformer"|"protein"|"interaction": {field:
+        value}}) and with top-level field `overrides`."""
         if mode not in MODE_PRESETS:
             raise ValueError(f"unknown dataset mode {mode!r}")
         preset = MODE_PRESETS[mode]
-        codec = overrides.pop("codec", CodecConfig())
-        transformer = overrides.pop(
-            "transformer", TransformerConfig(vocab_size=mol_vocab_size,
-                                             max_len=codec.mol_max_len))
-        protein = overrides.pop(
-            "protein", ProteinCnnConfig(vocab_size=prot_vocab_size,
-                                        filter_lengths=preset["filter_lengths"]))
-        interaction = overrides.pop(
-            "interaction", InteractionConfig(dense_sizes=preset["dense_sizes"]))
-        return cls(codec=codec, transformer=transformer, protein=protein,
-                   interaction=interaction, **overrides)
+        sections = sections or {}
+        codec = CodecConfig(**sections.get("codec", {}))
+        return cls(
+            codec=codec,
+            transformer=TransformerConfig(**{"vocab_size": mol_vocab_size,
+                                             "max_len": codec.mol_max_len,
+                                             **sections.get("transformer", {})}),
+            protein=ProteinCnnConfig(**{"vocab_size": prot_vocab_size,
+                                        "filter_lengths": preset["filter_lengths"],
+                                        **sections.get("protein", {})}),
+            interaction=InteractionConfig(**{"dense_sizes": preset["dense_sizes"],
+                                             **sections.get("interaction", {})}),
+            **overrides)
 
 
 class DtiModel:
@@ -109,12 +108,9 @@ class DtiModel:
 
     def named_params(self) -> dict[str, Tensor]:
         out = {}
-        for name, tensor in self.tw.named().items():
-            out[f"transformer.{name}"] = tensor
-        for name, tensor in self.pw.named().items():
-            out[f"protein.{name}"] = tensor
-        for name, tensor in self.iw.named().items():
-            out[f"interaction.{name}"] = tensor
+        for prefix, part in (("transformer", self.tw), ("protein", self.pw),
+                             ("interaction", self.iw)):
+            out.update({f"{prefix}.{name}": t for name, t in part.named().items()})
         return out
 
     def forward_ids(self, mol_ids, mol_mask, prot_ids, prot_mask,
@@ -126,8 +122,7 @@ class DtiModel:
             m_rep = mt.pool_rep_batch(encoded)
         else:
             m_rep = mt.pool_mean_batch(encoded, mol_mask)
-        p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein,
-                                    training=training)
+        p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein)
         return predict_affinity_batch(m_rep, p_rep, self.iw, self.cfg.interaction,
                                       training=training, rng=rng)
 
@@ -138,18 +133,15 @@ class DtiModel:
         out = np.empty(len(enc_mols), dtype=np.float64)
         for start in range(0, len(enc_mols), batch_size):
             mols = enc_mols[start:start + batch_size]
-            prots = enc_prots[start:start + batch_size]
-            pred = self.forward_ids(
-                np.stack([m.ids for m in mols]), np.stack([m.mask for m in mols]),
-                np.stack([p.ids for p in prots]), np.stack([p.mask for p in prots]),
-                training=False)
+            pred = self.forward_ids(*stack_sequences(mols),
+                                    *stack_sequences(enc_prots[start:start + batch_size]))
             out[start:start + len(mols)] = pred.data
         return out
 
     def to_checkpoint(self, extra_meta: dict | None = None) -> Checkpoint:
         meta = {
             "kind": "dti",
-            "model": self.cfg.to_dict(),
+            "model": asdict(self.cfg),
             "mol_vocab": list(self.mol_vocab.tokens),
             "prot_vocab": list(self.prot_vocab.tokens),
         }
@@ -166,13 +158,5 @@ class DtiModel:
         mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(ckpt.meta["mol_vocab"]))
         prot_vocab = Vocab(kind=PROTEIN, tokens=tuple(ckpt.meta["prot_vocab"]))
         model = cls(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
-        named = model.named_params()
-        missing = set(named) - set(ckpt.tensors)
-        if missing:
-            raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
-        for name, tensor in named.items():
-            arr = ckpt.tensors[name]
-            if arr.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-            tensor.data = arr.copy()
+        ckpt.restore(model.named_params())
         return model

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codec import EncodedSequence
 from .transformer import _param, _zeros
 
 
@@ -37,19 +36,6 @@ class ProteinCnnConfig:
     @property
     def out_width(self) -> int:
         return self.filter_counts[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "embed_dim": self.embed_dim,
-            "filter_lengths": list(self.filter_lengths),
-            "filter_counts": list(self.filter_counts),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProteinCnnConfig":
-        return cls(vocab_size=d["vocab_size"], embed_dim=d["embed_dim"],
-                   filter_lengths=tuple(d["filter_lengths"]),
-                   filter_counts=tuple(d["filter_counts"]))
 
 
 class ProteinCnnWeights:
@@ -80,8 +66,7 @@ def receptive_field(cfg: ProteinCnnConfig) -> int:
 
 
 def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights,
-                        cfg: ProteinCnnConfig, training: bool = False,
-                        collect_conv: list | None = None) -> Tensor:
+                        cfg: ProteinCnnConfig, collect_conv: list | None = None) -> Tensor:
     """Tower over an id batch [B, L] -> pooled features [B, m_last].
 
     The fixed padded length must cover the filter stack, and every sequence
@@ -101,10 +86,3 @@ def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights,
         if collect_conv is not None:
             collect_conv.append(x.data.copy())
     return ad.max_pool_over_length(x)
-
-
-def protein_forward(seq: EncodedSequence, w: ProteinCnnWeights, cfg: ProteinCnnConfig,
-                    training: bool = False) -> Tensor:
-    """Single-sequence tower: [L] ids -> feature vector [m_last]."""
-    out = protein_forward_ids(seq.ids[None, :], seq.mask[None, :], w, cfg, training=training)
-    return ad.take_index(out, 0, 0)

@@ -8,7 +8,7 @@ deterministic given identical seed, config and inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from . import autodiff as ad
 from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
-from .codec import MASK, CodecConfig, EncodedSequence, Vocab, encode_molecule, encode_protein
+from .codec import (MASK, CodecConfig, EncodedSequence, Vocab, encode_molecule,
+                    encode_protein, stack_sequences)
 from .errors import NumericalError
 from .interaction import mse_loss
 from .model import DtiModel, ModelConfig
@@ -255,10 +256,8 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
     losses = []
 
     def snapshot(step):
-        meta = {"kind": "pretrain", "transformer": transformer_cfg.to_dict(),
-                "codec": {"mol_max_len": codec_cfg.mol_max_len,
-                          "prot_max_len": codec_cfg.prot_max_len},
-                "mol_vocab": list(vocab.tokens),
+        meta = {"kind": "pretrain", "transformer": asdict(transformer_cfg),
+                "codec": asdict(codec_cfg), "mol_vocab": list(vocab.tokens),
                 "keep_rep_when_truncated": keep_rep_when_truncated,
                 "step": step}
         return Checkpoint(meta=meta, tensors={f"transformer.{n}": t.data.copy()
@@ -325,20 +324,25 @@ def encode_affinity_data(records, mol_vocab: Vocab, prot_vocab: Vocab,
     return out
 
 
+def check_pretrain_kind(ckpt: Checkpoint):
+    """Reject a checkpoint that pretrain did not write."""
+    if ckpt.meta.get("kind") != "pretrain":
+        raise ValueError(f"warm start requires a pretraining checkpoint, got "
+                         f"kind={ckpt.meta.get('kind')!r}")
+
+
 def load_warm_start(model: DtiModel, ckpt: Checkpoint):
     """Initialize the molecule encoder from a pretraining checkpoint.
 
     The transformer config and molecule vocabulary must match exactly; the
     protein tower and interaction head keep their fresh initialization.
     """
-    if ckpt.meta.get("kind") != "pretrain":
-        raise ValueError(f"warm start requires a pretraining checkpoint, got "
-                         f"kind={ckpt.meta.get('kind')!r}")
-    if ckpt.meta["transformer"] != model.cfg.transformer.to_dict():
+    check_pretrain_kind(ckpt)
+    if ckpt.meta["transformer"] != asdict(model.cfg.transformer):
         raise ValueError("warm-start transformer config does not match the model")
     if tuple(ckpt.meta["mol_vocab"]) != model.mol_vocab.tokens:
         raise ValueError("warm-start molecule vocabulary does not match the model")
-    model.tw.load_arrays(ckpt.select("transformer."))
+    ckpt.restore(model.tw.named(), "transformer.")
 
 
 @dataclass
@@ -393,13 +397,10 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
         epoch_losses = []
         for start in range(0, len(train), run.batch_size):
             batch = [train[i] for i in order[start:start + run.batch_size]]
-            mol_ids = np.stack([r.mol.ids for r in batch])
-            mol_mask = np.stack([r.mol.mask for r in batch])
-            prot_ids = np.stack([r.prot.ids for r in batch])
-            prot_mask = np.stack([r.prot.mask for r in batch])
             targets = np.array([r.affinity for r in batch])
             try:
-                pred = model.forward_ids(mol_ids, mol_mask, prot_ids, prot_mask,
+                pred = model.forward_ids(*stack_sequences([r.mol for r in batch]),
+                                         *stack_sequences([r.prot for r in batch]),
                                          training=True, rng=rng)
                 loss = mse_loss(pred, targets)
             except NumericalError as exc:

@@ -2,8 +2,8 @@
 self-attention blocks (post-norm: sublayer -> dropout -> add -> norm),
 a masked-token prediction head, and pooling of the position-0 vector.
 
-Forward functions operate on id batches [B, L]; the single-sequence entry
-points wrap a batch of one.
+Forward functions operate on id batches [B, L]; a single sequence is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codec import EncodedSequence
 
 
 @dataclass(frozen=True)
@@ -42,18 +41,6 @@ class TransformerConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden // self.num_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "num_layers": self.num_layers,
-            "num_heads": self.num_heads, "hidden": self.hidden,
-            "intermediate": self.intermediate, "dropout": self.dropout,
-            "max_len": self.max_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransformerConfig":
-        return cls(**d)
 
 
 def trunc_normal(shape, rng, std: float = 0.02) -> np.ndarray:
@@ -117,18 +104,6 @@ class TransformerWeights:
         out["lm_b"] = self.lm_b
         return out
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]):
-        """Overwrite every weight from a name->array map (shape-checked)."""
-        named = self.named()
-        missing = set(named) - set(arrays)
-        if missing:
-            raise ValueError(f"missing transformer tensors: {sorted(missing)}")
-        for name, tensor in named.items():
-            arr = np.asarray(arrays[name], dtype=tensor.data.dtype)
-            if arr.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-            tensor.data = arr.copy()
-
 
 def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
     """Token-embedding rows plus position embeddings, padding included."""
@@ -139,11 +114,6 @@ def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
     tok = ad.embedding_lookup(w.mte, ids)
     pos = ad.embedding_lookup(w.pe, np.arange(length))
     return ad.add(tok, pos)
-
-
-def embed(seq: EncodedSequence, w: TransformerWeights) -> Tensor:
-    """Single-sequence embedding: x_i = MTE[id_i] + PE[i] for every position."""
-    return ad.take_index(embed_ids(seq.ids[None, :], w), 0, 0)
 
 
 def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
@@ -186,21 +156,8 @@ def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
     return x
 
 
-def encode(seq: EncodedSequence, w: TransformerWeights, cfg: TransformerConfig,
-           training: bool = False, rng=None,
-           collect_attn: Optional[list] = None) -> Tensor:
-    """Single-sequence encoding [L, D]; composition of embed and the blocks."""
-    out = encode_ids(seq.ids[None, :], seq.mask[None, :], w, cfg,
-                     training=training, rng=rng, collect_attn=collect_attn)
-    return ad.take_index(out, 0, 0)
-
-
-def pool_rep(encoded: Tensor) -> Tensor:
-    """The whole-molecule vector: row 0 of the final layer (the [REP] slot)."""
-    return ad.take_index(encoded, 0, axis=0)
-
-
 def pool_rep_batch(encoded: Tensor) -> Tensor:
+    """Whole-molecule vectors [B, D]: row 0 of each encoding (the [REP] slot)."""
     return ad.take_index(encoded, 0, axis=1)
 
 

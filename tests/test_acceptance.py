@@ -374,7 +374,7 @@ def test_criterion_9_warm_start_bitwise():
         pre = pretrain(corpus, vocab, tcfg, run, codec_cfg=codec)
 
         reference = TransformerWeights(tcfg, np.random.default_rng(123))
-        reference.load_arrays(pre.checkpoint.select("transformer."))
+        pre.checkpoint.restore(reference.named(), "transformer.")
 
         prot_vocab = build_vocab(random_proteins(4, rng), PROTEIN)
         cfg = ModelConfig(codec=codec, transformer=tcfg,

@@ -1,0 +1,91 @@
+"""The benchmark harness wraps moldta's public names at run time.
+
+bench/tracing.py replaces module globals and class attributes by name for
+the length of a traced pass. These tests install its wrappers over the
+imported package and check that every traced entry point still exists,
+that a traced forward pass records the expected spans, and that restore()
+puts every original attribute back.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+MODULES = ("autodiff", "checkpoint", "cli", "codec", "data", "errors", "interaction",
+           "metrics", "model", "protein_cnn", "training", "transformer")
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    """Execute bench/tracing.py from source, writing no bytecode beside it."""
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture
+def moldta():
+    return types.SimpleNamespace(**{name: importlib.import_module("moldta." + name)
+                                    for name in MODULES})
+
+
+def attribute_snapshot(m):
+    """Every module global and every attribute of the classes tracing wraps."""
+    owners = [getattr(m, name) for name in MODULES]
+    owners += [m.model.DtiModel, m.training.AdamOptimizer, m.checkpoint.Checkpoint]
+    return [(owner, dict(vars(owner))) for owner in owners]
+
+
+def assert_restored(snapshot):
+    for owner, attrs in snapshot:
+        now = vars(owner)
+        assert set(now) == set(attrs), owner
+        changed = [key for key, value in attrs.items() if now[key] is not value]
+        assert not changed, (owner, changed)
+
+
+def test_install_layers_binds_every_traced_name_and_restores(moldta):
+    tracing = load_tracing()
+    before = attribute_snapshot(moldta)
+    matmul = moldta.autodiff.matmul
+    patches = tracing.Patches()
+    try:
+        tracing.install_layers(tracing.Tracer(), patches, moldta)
+        assert moldta.autodiff.matmul is not matmul
+        assert moldta.autodiff.matmul.__wrapped__ is matmul
+    finally:
+        patches.restore()
+    assert_restored(before)
+
+
+def test_traced_forward_records_layer_spans(moldta):
+    tracing = load_tracing()
+    codec = moldta.codec
+    mol_vocab = codec.build_vocab(["CCO", "CN=O"], codec.MOLECULE)
+    prot_vocab = codec.build_vocab(["MKTAYIAKQR"], codec.PROTEIN)
+    cfg = moldta.model.ModelConfig.for_mode(
+        "kiba", len(mol_vocab), len(prot_vocab),
+        {"codec": {"mol_max_len": 8, "prot_max_len": 12},
+         "transformer": {"num_layers": 1, "num_heads": 2, "hidden": 4, "intermediate": 6},
+         "protein": {"embed_dim": 3, "filter_lengths": (2, 2), "filter_counts": (3, 4)},
+         "interaction": {"dense_sizes": (5,)}})
+    model = moldta.model.DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
+    mol = codec.encode_molecule("CCO", mol_vocab, cfg.codec)
+    prot = codec.encode_protein("MKTAYIAKQR", prot_vocab, cfg.codec)
+    before = attribute_snapshot(moldta)
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    try:
+        tracing.install_layers(tracer, patches, moldta)
+        traced = model.predict([mol], [prot])
+    finally:
+        patches.restore()
+    assert_restored(before)
+    assert traced.tobytes() == model.predict([mol], [prot]).tobytes()
+    names = {span[0] for span in tracer.spans}
+    assert {"model.predict", "model.forward_ids", "transformer.encode_ids",
+            "transformer.attention_block", "protein_cnn.forward",
+            "interaction.predict_affinity_batch", "autodiff.matmul"} <= names

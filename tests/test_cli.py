@@ -133,6 +133,55 @@ def test_finetune_then_evaluate_and_rank(workspace, capsys):
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "2", "3"]
 
 
+def test_truncated_checkpoint_exits_two(workspace, capsys):
+    blob = Checkpoint(meta={"kind": "dti"}, tensors={"w": np.ones(3)}).to_bytes()
+    ckpt = workspace / "cut.ckpt"
+    ckpt.write_bytes(blob[:12])
+    assert main(["rank", "--checkpoint", str(ckpt),
+                 "--candidates", str(workspace / "candidates.tsv"),
+                 "--target-fasta", PROTS[0]]) == 2
+    assert "data error: corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_warm_start_from_affinity_checkpoint_exits_two(workspace, capsys):
+    ckpt = workspace / "dti.ckpt"
+    Checkpoint(meta={"kind": "dti"}, tensors={}).save(ckpt)
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit"), "--config", str(workspace / "config.txt"),
+                 "--warm-start", str(ckpt)]) == 2
+    assert "warm start requires a pretraining checkpoint" in capsys.readouterr().err
+
+
+def test_pretrain_rejects_unknown_pooling(workspace, capsys):
+    cfg = workspace / "pool.txt"
+    cfg.write_text(TINY_CONFIG + "model.truncation_pooling = rpe\n")
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
+                 "--out", str(workspace / "pre"), "--config", str(cfg)]) == 2
+    assert "truncation_pooling must be 'rep' or 'mean'" in capsys.readouterr().err
+    assert not (workspace / "pre").exists()
+
+
+def test_bad_config_value_exits_one(workspace, capsys):
+    cfg = workspace / "bad.txt"
+    cfg.write_text("model.dense_sizes = 7,x\n")
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit"), "--config", str(cfg)]) == 1
+    assert "config key model.dense_sizes: bad value '7,x'" in capsys.readouterr().err
+
+
+def test_config_dropout_sets_both_towers_and_mode_sets_defaults(workspace):
+    cfg = workspace / "drop.txt"
+    cfg.write_text(TINY_CONFIG.replace("model.dense_sizes = 7\n", "")
+                   .replace("train.learning_rate = 0.002\n", "") + "model.dropout = 0.3\n")
+    assert main(["finetune", "--data", str(workspace / "data.tsv"), "--mode", "davis",
+                 "--out", str(workspace / "fit"), "--config", str(cfg)]) == 0
+    meta = Checkpoint.load(workspace / "fit" / "model.ckpt").meta["model"]
+    assert meta["transformer"]["dropout"] == 0.3
+    assert meta["interaction"]["dropout"] == 0.3
+    assert meta["interaction"]["dense_sizes"] == [1024, 512]   # davis preset
+    assert meta["protein"]["filter_lengths"] == [3, 3]         # config beats preset
+
+
 def test_evaluate_predictions_file_perfect(workspace, capsys):
     preds = workspace / "preds.tsv"
     rows = ["affinity\tprediction"] + [f"{4 + 0.5 * i}\t{4 + 0.5 * i}" for i in range(20)]

@@ -7,7 +7,7 @@ from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta.autodiff import Tensor
 from moldta.interaction import (InteractionConfig, InteractionWeights, mse_loss,
-                                predict_affinity, predict_affinity_batch)
+                                predict_affinity_batch)
 
 TINY = InteractionConfig(dense_sizes=(8,), dropout=0.1)
 
@@ -28,16 +28,16 @@ def test_zero_weights_zero_output():
         dense_b.data[:] = 0.0
     w.reg_w.data[:] = 0.0
     w.reg_b.data[:] = 0.0
-    out = predict_affinity(Tensor(np.ones(4)), Tensor(np.ones(2)), w, TINY)
-    assert float(out.data) == 0.0
+    out = predict_affinity_batch(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2))), w, TINY)
+    assert float(out.data[0]) == 0.0
 
 
 def test_regression_bias_passthrough_on_zero_input():
     w = InteractionWeights(TINY, 6, np.random.default_rng(0))
     w.reg_b.data[:] = 2.5
-    out = predict_affinity(Tensor(np.zeros(4)), Tensor(np.zeros(2)), w, TINY)
+    out = predict_affinity_batch(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))), w, TINY)
     # relu(0 @ W + 0) = 0 through the stack, so only the regression bias remains
-    assert float(out.data) == 2.5
+    assert float(out.data[0]) == 2.5
 
 
 def test_hand_set_toy_network():
@@ -47,18 +47,18 @@ def test_hand_set_toy_network():
     w.dense[0][1].data = np.array([0.1, -0.2])
     w.reg_w.data = np.array([[3.0], [-1.0]])
     w.reg_b.data = np.array([0.25])
-    m = np.array([0.5])
-    p = np.array([-1.5])
+    m = np.array([[0.5]])
+    p = np.array([[-1.5]])
     hidden = np.maximum(np.array([0.5, -1.5]) @ w.dense[0][0].data + w.dense[0][1].data, 0.0)
     expected = float((hidden @ w.reg_w.data + w.reg_b.data)[0])
-    out = predict_affinity(Tensor(m), Tensor(p), w, cfg)
-    assert float(out.data) == pytest.approx(expected, abs=1e-12)
+    out = predict_affinity_batch(Tensor(m), Tensor(p), w, cfg)
+    assert float(out.data[0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_width_mismatch_errors():
     w = InteractionWeights(TINY, 6, np.random.default_rng(0))
     with pytest.raises(ValueError, match="width"):
-        predict_affinity(Tensor(np.ones(3)), Tensor(np.ones(2)), w, TINY)
+        predict_affinity_batch(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))), w, TINY)
 
 
 def test_batch_forward_matches_singles():
@@ -68,8 +68,8 @@ def test_batch_forward_matches_singles():
     p = rng.normal(size=(5, 2))
     batch = predict_affinity_batch(Tensor(m), Tensor(p), w, TINY)
     for i in range(5):
-        single = predict_affinity(Tensor(m[i]), Tensor(p[i]), w, TINY)
-        assert float(single.data) == pytest.approx(float(batch.data[i]), abs=1e-12)
+        single = predict_affinity_batch(Tensor(m[i:i + 1]), Tensor(p[i:i + 1]), w, TINY)
+        assert float(single.data[0]) == pytest.approx(float(batch.data[i]), abs=1e-12)
 
 
 def test_mse_loss_values_and_errors():
@@ -94,9 +94,9 @@ def test_mse_loss_nonnegative_random():
 
 def test_inference_deterministic():
     w = InteractionWeights(TINY, 6, np.random.default_rng(4))
-    m, p = Tensor(np.ones(4)), Tensor(np.ones(2))
-    a = predict_affinity(m, p, w, TINY, training=False)
-    b = predict_affinity(m, p, w, TINY, training=False)
+    m, p = Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2)))
+    a = predict_affinity_batch(m, p, w, TINY, training=False)
+    b = predict_affinity_batch(m, p, w, TINY, training=False)
     assert a.data.tobytes() == b.data.tobytes()
 
 

@@ -10,9 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moldta.metrics import (EvalPair, MetricsReport, aggregate_reports, aupr,
-                            binarize, concordance_index, evaluate, mse,
-                            rm2_details, rm2_index, split_pairs)
+from moldta.metrics import (MetricsReport, aupr, binarize, concordance_index,
+                            evaluate, mse, rm2_details, rm2_index)
 
 # frozen from a 50-digit scalar computation of the documented formulas
 RM2_136_346 = 0.70762790394060589
@@ -331,25 +330,6 @@ def test_evaluate_matches_oracles_on_random_sets():
             assert report.aupr == pytest.approx(
                 aupr_oracle(labels.tolist(), f.tolist()), abs=1e-9)
         assert report.mse == pytest.approx(float(np.mean((f - y) ** 2)), abs=1e-12)
-
-
-def test_split_pairs_and_evalpair():
-    pairs = [EvalPair(1.0, 2.0), EvalPair(3.0, 4.0)]
-    y, y_hat = split_pairs(pairs)
-    assert y.tolist() == [1.0, 3.0]
-    assert y_hat.tolist() == [2.0, 4.0]
-
-
-def test_aggregate_reports_sample_std():
-    reports = [MetricsReport(n=3, threshold=7.0, mse=m, ci=c, rm2=r, aupr=a)
-               for m, c, r, a in [(0.1, 0.8, 0.5, 0.7), (0.2, 0.9, 0.6, 0.8)]]
-    text = aggregate_reports(reports)
-    assert "folds = 2" in text
-    mean_line = [ln for ln in text.splitlines() if ln.startswith("mse_mean")][0]
-    std_line = [ln for ln in text.splitlines() if ln.startswith("mse_std")][0]
-    assert float(mean_line.split("=")[1]) == pytest.approx(0.15)
-    # sample std with ddof=1 over {0.1, 0.2}
-    assert float(std_line.split("=")[1]) == pytest.approx(np.std([0.1, 0.2], ddof=1))
 
 
 def test_evaluate_unknown_mode():

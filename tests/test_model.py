@@ -1,5 +1,7 @@
 """Combined model: presets, forward wiring, checkpoint fidelity."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_for_mode_builds_consistent_config():
 def test_model_config_dict_round_trip():
     _, codec, mol_vocab, prot_vocab = tiny_setup()
     cfg = ModelConfig.for_mode("kiba", len(mol_vocab), len(prot_vocab))
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 def test_model_config_validation():

@@ -8,8 +8,7 @@ from moldta import autodiff as ad
 from moldta import protein_cnn as pc
 from moldta.codec import PROTEIN, CodecConfig, build_vocab, encode_protein
 from moldta.protein_cnn import (ProteinCnnConfig, ProteinCnnWeights,
-                                protein_forward, protein_forward_ids,
-                                receptive_field)
+                                protein_forward_ids, receptive_field)
 
 TINY = ProteinCnnConfig(vocab_size=6, embed_dim=4, filter_lengths=(3, 3, 3),
                         filter_counts=(4, 4, 4))
@@ -42,8 +41,8 @@ def test_forward_output_shape_kiba_defaults():
     w = ProteinCnnWeights(cfg, np.random.default_rng(0))
     vocab = build_vocab(["ACDEFGHIKLMNPQRSTVWYX"], PROTEIN)
     seq = encode_protein("ACDEFGHIKLMNPQRSTVWYX" * 3, vocab, CodecConfig())
-    out = protein_forward(seq, w, cfg)
-    assert out.data.shape == (96,)
+    out = protein_forward_ids(seq.ids[None], seq.mask[None], w, cfg)
+    assert out.data.shape == (1, 96)
 
 
 def test_conv_length_arithmetic_after_first_layer():

@@ -365,7 +365,7 @@ def test_warm_start_reproduces_pretrained_forward_bitwise():
     load_warm_start(model, pre.checkpoint)
 
     reference = TransformerWeights(cfg.transformer, np.random.default_rng(99))
-    reference.load_arrays(pre.checkpoint.select("transformer."))
+    pre.checkpoint.restore(reference.named(), "transformer.")
     ids = encoded[0].mol.ids[None]
     mask = encoded[0].mol.mask[None]
     out_model = mt.encode_ids(ids, mask, model.tw, cfg.transformer)

@@ -64,14 +64,14 @@ def test_embed_out_of_range_id():
         mt.embed_ids(np.full((1, 8), 12), w)
 
 
-def test_embed_single_sequence_wrapper():
+def test_embed_encoded_molecule_as_batch_of_one():
     vocab = build_vocab(["CN=O"], MOLECULE)
     cfg = CodecConfig(mol_max_len=8)
     w = tiny_weights()
     seq = encode_molecule("CN=O", vocab, cfg)
-    out = mt.embed(seq, w)
-    assert out.data.shape == (8, 4)
-    np.testing.assert_allclose(out.data[0], w.mte.data[seq.ids[0]] + w.pe.data[0])
+    out = mt.embed_ids(seq.ids[None], w)
+    assert out.data.shape == (1, 8, 4)
+    np.testing.assert_allclose(out.data[0, 0], w.mte.data[seq.ids[0]] + w.pe.data[0])
 
 
 def test_attention_block_zero_weights_finite():
@@ -176,9 +176,9 @@ def test_training_dropout_changes_output():
 
 
 def test_pool_rep_returns_row_zero():
-    x = np.random.default_rng(4).normal(size=(8, 4))
-    out = mt.pool_rep(ad.Tensor(x))
-    np.testing.assert_array_equal(out.data, x[0])
+    x = np.random.default_rng(4).normal(size=(1, 8, 4))
+    out = mt.pool_rep_batch(ad.Tensor(x))
+    np.testing.assert_array_equal(out.data[0], x[0, 0])
 
 
 def test_pool_rep_default_width_is_128():
@@ -194,10 +194,10 @@ def test_pool_rep_default_width_is_128():
 
 
 def test_pool_rep_gradient_only_through_row_zero():
-    x = ad.Tensor(np.random.default_rng(5).normal(size=(6, 3)), requires_grad=True)
-    ad.backward(ad.reduce_sum(mt.pool_rep(x)))
-    np.testing.assert_array_equal(x.grad[0], np.ones(3))
-    np.testing.assert_array_equal(x.grad[1:], np.zeros((5, 3)))
+    x = ad.Tensor(np.random.default_rng(5).normal(size=(1, 6, 3)), requires_grad=True)
+    ad.backward(ad.reduce_sum(mt.pool_rep_batch(x)))
+    np.testing.assert_array_equal(x.grad[0, 0], np.ones(3))
+    np.testing.assert_array_equal(x.grad[0, 1:], np.zeros((5, 3)))
 
 
 def test_pool_mean_batch_masked_average():
