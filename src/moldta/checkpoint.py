@@ -9,6 +9,7 @@ rank/dims/float64 format. Round trips are bitwise exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -36,8 +37,17 @@ class Checkpoint:
         return b"".join(parts)
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write atomically: a temp file beside `path` replaces it only once
+        complete, so a failed write leaves any previous file there as it was."""
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(self.to_bytes())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "Checkpoint":
@@ -74,6 +84,15 @@ class Checkpoint:
                 return cls.from_bytes(fh.read())
         except OSError as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+
+    def require(self, *path):
+        """The metadata value under a key path; a missing key is a DataError."""
+        value = self.meta
+        for depth, key in enumerate(path):
+            if not isinstance(value, dict) or key not in value:
+                raise DataError(f"checkpoint metadata lacks {'.'.join(path[:depth + 1])!r}")
+            value = value[key]
+        return value
 
     def select(self, prefix: str) -> dict[str, np.ndarray]:
         """Tensors under a dotted prefix, with the prefix stripped."""

@@ -112,6 +112,15 @@ def _sections(args, *names) -> dict:
     return out
 
 
+def _configured(build, *args, **kwargs):
+    """Build a config from --config values; a value that parses but fails
+    the config's validation is a usage error, like one that does not parse."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
+
+
 def _read_lines(path) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -137,14 +146,14 @@ def cmd_tokenize(args) -> int:
 
 def cmd_pretrain(args) -> int:
     sections = _sections(args, "codec", "transformer", "model", "run", "data")
-    codec_cfg = CodecConfig(**sections["codec"])
+    codec_cfg = _configured(CodecConfig, **sections["codec"])
     lines = [line for line in _read_lines(args.corpus) if line]
     if not lines:
         raise DataError(f"{args.corpus}: no molecules")
     vocab = Vocab.load(args.vocab) if args.vocab else build_vocab(lines, MOLECULE)
     if vocab.kind != MOLECULE:
         raise DataError("pretraining requires a molecule vocabulary")
-    run = TrainRunConfig(**sections["run"])
+    run = _configured(TrainRunConfig, **sections["run"])
     heldout_fraction = sections["data"].get("heldout_fraction", HELDOUT_FRACTION)
     rng = np.random.default_rng(run.seed)
     order = rng.permutation(len(lines))
@@ -153,8 +162,8 @@ def cmd_pretrain(args) -> int:
     train = [lines[i] for i in order[n_heldout:]]
     if not train:
         raise DataError("heldout fraction leaves no training molecules")
-    tcfg = TransformerConfig(vocab_size=len(vocab), max_len=codec_cfg.mol_max_len,
-                             **sections["transformer"])
+    tcfg = _configured(TransformerConfig, vocab_size=len(vocab),
+                       max_len=codec_cfg.mol_max_len, **sections["transformer"])
     keep_rep = keep_rep_for(sections["model"].get("truncation_pooling",
                                                   ModelConfig.truncation_pooling))
 
@@ -178,8 +187,9 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     sections = _sections(args, "codec", "transformer", "protein", "interaction",
                          "model", "run")
-    run = TrainRunConfig(**{"learning_rate": MODE_PRESETS[args.mode]["learning_rate"],
-                            **sections["run"]})
+    run = _configured(TrainRunConfig,
+                      **{"learning_rate": MODE_PRESETS[args.mode]["learning_rate"],
+                         **sections["run"]})
     records = load_affinity_dataset(args.data, mode=args.mode, raw_kd=args.raw_kd)
     split = split_folds(records, seed=run.seed)
     if not 0 <= args.fold < len(split.folds):
@@ -191,14 +201,14 @@ def cmd_finetune(args) -> int:
     warm = Checkpoint.load(args.warm_start) if args.warm_start else None
     if warm is not None:
         check_pretrain_kind(warm)
-        sections["codec"]["mol_max_len"] = warm.meta["codec"]["mol_max_len"]
-        mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(warm.meta["mol_vocab"]))
+        sections["codec"]["mol_max_len"] = warm.require("codec", "mol_max_len")
+        mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(warm.require("mol_vocab")))
     else:
         mol_vocab = build_vocab((r.smiles for r in records), MOLECULE)
     prot_vocab = build_vocab((r.fasta for r in records), PROTEIN)
 
-    model_cfg = ModelConfig.for_mode(args.mode, len(mol_vocab), len(prot_vocab),
-                                     sections, **sections["model"])
+    model_cfg = _configured(ModelConfig.for_mode, args.mode, len(mol_vocab),
+                            len(prot_vocab), sections, **sections["model"])
     train_enc, dev_enc = (encode_affinity_data(part, mol_vocab, prot_vocab, model_cfg.codec,
                                                model_cfg.keep_rep_when_truncated)
                           for part in (train_records, dev_records))

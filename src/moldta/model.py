@@ -16,6 +16,7 @@ from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
 from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, stack_sequences
+from .errors import DataError
 from .interaction import InteractionConfig, InteractionWeights, predict_affinity_batch
 from .protein_cnn import ProteinCnnConfig, ProteinCnnWeights, protein_forward_ids
 from .transformer import TransformerConfig, TransformerWeights
@@ -59,11 +60,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of dataclasses.asdict, as stored in checkpoint metadata."""
-        return cls(**{**d, "codec": CodecConfig(**d["codec"]),
-                      "transformer": TransformerConfig(**d["transformer"]),
-                      "protein": ProteinCnnConfig(**d["protein"]),
-                      "interaction": InteractionConfig(**d["interaction"])})
+        """Inverse of dataclasses.asdict, as stored in checkpoint metadata;
+        a missing, unknown or mistyped field is a DataError."""
+        try:
+            return cls(**{**d, "codec": CodecConfig(**d["codec"]),
+                          "transformer": TransformerConfig(**d["transformer"]),
+                          "protein": ProteinCnnConfig(**d["protein"]),
+                          "interaction": InteractionConfig(**d["interaction"])})
+        except KeyError as exc:
+            raise DataError(f"checkpoint model config lacks {exc}") from exc
+        except TypeError as exc:
+            raise DataError(f"checkpoint model config: {exc}") from exc
 
     @classmethod
     def for_mode(cls, mode: str, mol_vocab_size: int, prot_vocab_size: int,
@@ -154,9 +161,9 @@ class DtiModel:
     def from_checkpoint(cls, ckpt: Checkpoint) -> "DtiModel":
         if ckpt.meta.get("kind") != "dti":
             raise ValueError(f"not an affinity-model checkpoint: kind={ckpt.meta.get('kind')!r}")
-        cfg = ModelConfig.from_dict(ckpt.meta["model"])
-        mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(ckpt.meta["mol_vocab"]))
-        prot_vocab = Vocab(kind=PROTEIN, tokens=tuple(ckpt.meta["prot_vocab"]))
+        cfg = ModelConfig.from_dict(ckpt.require("model"))
+        mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(ckpt.require("mol_vocab")))
+        prot_vocab = Vocab(kind=PROTEIN, tokens=tuple(ckpt.require("prot_vocab")))
         model = cls(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
         ckpt.restore(model.named_params())
         return model

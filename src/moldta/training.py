@@ -338,9 +338,9 @@ def load_warm_start(model: DtiModel, ckpt: Checkpoint):
     protein tower and interaction head keep their fresh initialization.
     """
     check_pretrain_kind(ckpt)
-    if ckpt.meta["transformer"] != asdict(model.cfg.transformer):
+    if ckpt.require("transformer") != asdict(model.cfg.transformer):
         raise ValueError("warm-start transformer config does not match the model")
-    if tuple(ckpt.meta["mol_vocab"]) != model.mol_vocab.tokens:
+    if tuple(ckpt.require("mol_vocab")) != model.mol_vocab.tokens:
         raise ValueError("warm-start molecule vocabulary does not match the model")
     ckpt.restore(model.tw.named(), "transformer.")
 

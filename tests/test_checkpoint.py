@@ -23,6 +23,25 @@ def test_round_trip_bitwise(tmp_path):
     assert loaded.to_bytes() == ckpt.to_bytes()
 
 
+@pytest.mark.parametrize("fail_at", ["serialize", "replace"])
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "model.ckpt"
+    Checkpoint(meta={"kind": "old"}, tensors={"w": np.ones(3)}).save(path)
+    before = path.read_bytes()
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    if fail_at == "serialize":
+        monkeypatch.setattr(Checkpoint, "to_bytes", boom)
+    else:    # the temp file is complete when the rename fails
+        monkeypatch.setattr("moldta.checkpoint.os.replace", boom)
+    with pytest.raises(OSError, match="disk full"):
+        Checkpoint(meta={"kind": "new"}, tensors={"w": np.zeros(5)}).save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)

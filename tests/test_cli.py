@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import asdict
+
 from moldta.checkpoint import Checkpoint
 from moldta.cli import load_config, main
+from moldta.model import ModelConfig
 
 PROTS = ["MKTAYIAKQRQISFVKSHFSRQLEERLG", "MTEYKLVVVGAGGVGKSALTIQLIQNHF"]
 SMIS = ["CCO", "CN=C=O", "CCCNC", "CC(C)O", "NCCN", "OC=O",
@@ -150,6 +153,54 @@ def test_warm_start_from_affinity_checkpoint_exits_two(workspace, capsys):
                  "--out", str(workspace / "fit"), "--config", str(workspace / "config.txt"),
                  "--warm-start", str(ckpt)]) == 2
     assert "warm start requires a pretraining checkpoint" in capsys.readouterr().err
+
+
+def _rank_exit(workspace, meta):
+    ckpt = workspace / "meta.ckpt"
+    Checkpoint(meta=meta, tensors={}).save(ckpt)
+    return main(["rank", "--checkpoint", str(ckpt),
+                 "--candidates", str(workspace / "candidates.tsv"),
+                 "--target-fasta", PROTS[0]])
+
+
+def test_rank_checkpoint_without_model_config_exits_two(workspace, capsys):
+    assert _rank_exit(workspace, {"kind": "dti"}) == 2
+    assert "data error: checkpoint metadata lacks 'model'" in capsys.readouterr().err
+
+
+def test_rank_checkpoint_with_unknown_config_field_exits_two(workspace, capsys):
+    model = asdict(ModelConfig.for_mode("kiba", 40, 30))
+    model["transformer"]["rotary"] = True
+    assert _rank_exit(workspace, {"kind": "dti", "model": model,
+                                  "mol_vocab": [], "prot_vocab": []}) == 2
+    err = capsys.readouterr().err
+    assert "data error: checkpoint model config:" in err and "rotary" in err
+
+
+def test_warm_start_without_codec_exits_two(workspace, capsys):
+    ckpt = workspace / "pre.ckpt"
+    Checkpoint(meta={"kind": "pretrain", "mol_vocab": ["[PAD]"]}, tensors={}).save(ckpt)
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit"), "--config", str(workspace / "config.txt"),
+                 "--warm-start", str(ckpt)]) == 2
+    assert "data error: checkpoint metadata lacks 'codec'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+@pytest.mark.parametrize("lines, message", [
+    ("train.batch_size = 0\n", "batch_size, steps and epochs must be positive"),
+    ("model.hidden = 10\nmodel.num_heads = 4\n", "divisible"),
+])
+def test_config_value_failing_validation_exits_one(workspace, capsys, command, lines, message):
+    cfg = workspace / "invalid.txt"
+    cfg.write_text(TINY_CONFIG + lines)    # a later line overrides an earlier one
+    inputs = (["--corpus", str(workspace / "corpus.txt")] if command == "pretrain"
+              else ["--data", str(workspace / "data.tsv")])
+    assert main([command, *inputs, "--out", str(workspace / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: invalid config: ") and message in err
+    assert not (workspace / "out").exists()
 
 
 def test_pretrain_rejects_unknown_pooling(workspace, capsys):

@@ -3,12 +3,16 @@
 The oracles here are deliberately naive: a pure-Python double loop for the
 concordance index, an exhaustive threshold sweep for AUPR, and Fraction
 arithmetic for rm^2 ingredients. The library code must match them to 1e-9.
+The O(n log n) concordance index must also equal, with ==, the O(n^2) row
+loop it replaced (`ci_reference`), since both count pairs in exact integers.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moldta.metrics import (MetricsReport, aupr, binarize, concordance_index,
                             evaluate, mse, rm2_details, rm2_index)
@@ -26,6 +30,29 @@ def ci_oracle(y, f):
                 den += 1
                 d = f[i] - f[j]
                 num += 1.0 if d > 0 else (0.5 if d == 0 else 0.0)
+    return num / den
+
+
+def ci_reference(y, y_hat):
+    """The O(n^2) concordance index that moldta.metrics used before, one
+    vectorised row per i against all earlier rows."""
+    y = np.asarray(y, dtype=np.float64)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    num = 0.0
+    den = 0
+    for i in range(1, y.size):
+        gt = y[:i] < y[i]      # pairs where y[i] is the strictly larger truth
+        lt = y[:i] > y[i]
+        if gt.any():
+            d = y_hat[i] - y_hat[:i][gt]
+            num += int(np.count_nonzero(d > 0)) + 0.5 * int(np.count_nonzero(d == 0))
+            den += int(gt.sum())
+        if lt.any():
+            d = y_hat[:i][lt] - y_hat[i]
+            num += int(np.count_nonzero(d > 0)) + 0.5 * int(np.count_nonzero(d == 0))
+            den += int(lt.sum())
+    if den == 0:
+        raise ValueError("CI undefined: all true values tied")
     return num / den
 
 
@@ -98,6 +125,73 @@ def test_ci_matches_brute_force_on_random_instances():
         if np.all(y == y[0]):
             continue
         assert abs(concordance_index(y, f) - ci_oracle(y, f)) < 1e-9
+
+
+def test_ci_equals_reference_on_tie_heavy_kiba_sized_sample():
+    # labels rounded to 0.1 and predictions to 0.01, as the screening
+    # benchmark scores them: both sides carry heavy ties
+    rng = np.random.default_rng(2024)
+    y = np.round(rng.normal(11.8, 0.9, 3000), 1)
+    f = np.round(y + rng.normal(0.0, 0.6, 3000), 2)
+    got = concordance_index(y, f)
+    assert type(got) is float
+    assert got == ci_reference(y, f)
+
+
+small_ints = st.lists(st.integers(-4, 4), min_size=1, max_size=200)
+
+
+@st.composite
+def tied_pairs(draw):
+    """Aligned small-integer truths and predictions: heavy ties on both."""
+    y = draw(small_ints)
+    f = draw(st.lists(st.integers(-4, 4), min_size=len(y), max_size=len(y)))
+    return np.array(y, dtype=float), np.array(f, dtype=float)
+
+
+def _increasing_map(draw, values):
+    """A random strictly increasing map on the distinct values."""
+    steps = draw(st.lists(st.floats(0.01, 100.0), min_size=values.size,
+                          max_size=values.size))
+    image = np.cumsum(steps) - 50.0
+    return image[np.searchsorted(np.unique(values), values)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_pairs())
+def test_ci_equals_reference_on_small_integer_inputs(pair):
+    y, f = pair
+    if np.all(y == y[0]):
+        with pytest.raises(ValueError, match="CI undefined"):
+            concordance_index(y, f)
+        with pytest.raises(ValueError, match="CI undefined"):
+            ci_reference(y, f)
+    else:
+        assert concordance_index(y, f) == ci_reference(y, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_pairs(), st.data())
+def test_ci_invariant_under_strictly_increasing_maps(pair, data):
+    y, f = pair
+    if np.all(y == y[0]):
+        return
+    base = concordance_index(y, f)
+    assert concordance_index(y, _increasing_map(data.draw, f)) == base
+    assert concordance_index(_increasing_map(data.draw, y), f) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_ints, st.randoms())
+def test_ci_of_negated_predictions_is_complement_without_prediction_ties(y, rnd):
+    y = np.array(y, dtype=float)
+    if np.all(y == y[0]):
+        return
+    f = np.arange(y.size, dtype=float)
+    rnd.shuffle(f)
+    # (pairs - concordant) / pairs and 1 - concordant / pairs may round to
+    # neighbouring floats (1 - 1/3 != 2/3), hence the tolerance
+    assert concordance_index(y, -f) == pytest.approx(1 - concordance_index(y, f), abs=1e-12)
 
 
 def test_metrics_return_builtin_float():

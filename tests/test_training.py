@@ -8,7 +8,8 @@ import pytest
 from moldta import transformer as mt
 from moldta.codec import (MASK, MOLECULE, PROTEIN, CodecConfig, build_vocab,
                           encode_molecule)
-from moldta.errors import NumericalError
+from moldta.checkpoint import Checkpoint
+from moldta.errors import DataError, NumericalError
 from moldta.interaction import InteractionConfig
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
@@ -396,6 +397,13 @@ def test_warm_start_rejects_vocab_mismatch():
     model = DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
     with pytest.raises(ValueError, match="vocabulary"):
         load_warm_start(model, pre.checkpoint)
+
+
+def test_warm_start_names_missing_metadata_key():
+    _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup()
+    model = DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
+    with pytest.raises(DataError, match="lacks 'transformer'"):
+        load_warm_start(model, Checkpoint(meta={"kind": "pretrain"}, tensors={}))
 
 
 def test_warm_start_requires_pretrain_kind():
