@@ -139,7 +139,10 @@ def _write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_tokenize(args) -> int:
-    cfg = CodecConfig(mol_max_len=args.mol_max_len)
+    try:
+        cfg = CodecConfig(mol_max_len=args.mol_max_len)
+    except ValueError as exc:
+        raise UsageError(f"--mol-max-len: {exc}") from exc
     print(" ".join(tokenize_molecule(args.smiles, cfg)))
     return 0
 
@@ -164,8 +167,8 @@ def cmd_pretrain(args) -> int:
         raise DataError("heldout fraction leaves no training molecules")
     tcfg = _configured(TransformerConfig, vocab_size=len(vocab),
                        max_len=codec_cfg.mol_max_len, **sections["transformer"])
-    keep_rep = keep_rep_for(sections["model"].get("truncation_pooling",
-                                                  ModelConfig.truncation_pooling))
+    keep_rep = _configured(keep_rep_for, sections["model"].get(
+        "truncation_pooling", ModelConfig.truncation_pooling))
 
     os.makedirs(args.out, exist_ok=True)
     result = pretrain(train, vocab, tcfg, run, codec_cfg=codec_cfg, heldout=heldout,

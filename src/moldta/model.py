@@ -121,27 +121,45 @@ class DtiModel:
         return out
 
     def forward_ids(self, mol_ids, mol_mask, prot_ids, prot_mask,
-                    training: bool = False, rng=None) -> Tensor:
-        """Affinity predictions [B] for encoded molecule/protein id batches."""
+                    training: bool = False, rng=None, p_rep: Tensor | None = None) -> Tensor:
+        """Affinity predictions [B] for encoded molecule/protein id batches.
+
+        `p_rep`, when given, is the protein tower's output for exactly these
+        protein ids and mask; the tower is then not run again.
+        """
         encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, self.cfg.transformer,
                                 training=training, rng=rng)
         if self.cfg.truncation_pooling == "rep":
             m_rep = mt.pool_rep_batch(encoded)
         else:
             m_rep = mt.pool_mean_batch(encoded, mol_mask)
-        p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein)
+        if p_rep is None:
+            p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein)
         return predict_affinity_batch(m_rep, p_rep, self.iw, self.cfg.interaction,
                                       training=training, rng=rng)
 
     def predict(self, enc_mols, enc_prots, batch_size: int = 32) -> np.ndarray:
-        """Inference-mode predictions for aligned encoded sequence lists."""
+        """Inference-mode predictions for aligned encoded sequence lists.
+
+        A batch whose stacked proteins equal the previous batch's reuses that
+        batch's tower output, so ranking many molecules against one target
+        runs the tower once; every score is still the same computation as a
+        direct call on its batch.
+        """
         if len(enc_mols) != len(enc_prots):
             raise ValueError("molecule and protein lists must align")
         out = np.empty(len(enc_mols), dtype=np.float64)
+        prev_ids = prev_mask = p_rep = None
         for start in range(0, len(enc_mols), batch_size):
             mols = enc_mols[start:start + batch_size]
-            pred = self.forward_ids(*stack_sequences(mols),
-                                    *stack_sequences(enc_prots[start:start + batch_size]))
+            prot_ids, prot_mask = stack_sequences(enc_prots[start:start + batch_size])
+            if not (np.array_equal(prot_ids, prev_ids) and np.array_equal(prot_mask, prev_mask)):
+                # detached: holding the tower's graph would keep its conv
+                # intermediates alive for the rest of the call
+                p_rep = Tensor(protein_forward_ids(prot_ids, prot_mask, self.pw,
+                                                   self.cfg.protein).data)
+                prev_ids, prev_mask = prot_ids, prot_mask
+            pred = self.forward_ids(*stack_sequences(mols), prot_ids, prot_mask, p_rep=p_rep)
             out[start:start + len(mols)] = pred.data
         return out
 
@@ -164,6 +182,7 @@ class DtiModel:
         cfg = ModelConfig.from_dict(ckpt.require("model"))
         mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(ckpt.require("mol_vocab")))
         prot_vocab = Vocab(kind=PROTEIN, tokens=tuple(ckpt.require("prot_vocab")))
-        model = cls(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
+        # no rng: weights start as zeros, and restore() overwrites every one
+        model = cls(cfg, mol_vocab, prot_vocab, None)
         ckpt.restore(model.named_params())
         return model

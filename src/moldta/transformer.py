@@ -54,7 +54,10 @@ def trunc_normal(shape, rng, std: float = 0.02) -> np.ndarray:
 
 
 def _param(shape, rng) -> Tensor:
-    return Tensor(trunc_normal(shape, rng), requires_grad=True)
+    """Trainable truncated-normal weights; zeros when rng is None, for a
+    model whose every weight is about to be loaded from a checkpoint."""
+    data = np.zeros(shape) if rng is None else trunc_normal(shape, rng)
+    return Tensor(data, requires_grad=True)
 
 
 def _zeros(shape) -> Tensor:

@@ -52,6 +52,14 @@ def test_tokenize_prints_nine_token_stream(capsys):
     assert out == "[REP] [BEGIN] C N = C = O [END]"
 
 
+def test_tokenize_nonpositive_length_is_usage_error(capsys):
+    assert main(["tokenize", "CCO", "--mol-max-len", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --mol-max-len: ")
+    assert "strictly positive" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -190,6 +198,7 @@ def test_warm_start_without_codec_exits_two(workspace, capsys):
 @pytest.mark.parametrize("lines, message", [
     ("train.batch_size = 0\n", "batch_size, steps and epochs must be positive"),
     ("model.hidden = 10\nmodel.num_heads = 4\n", "divisible"),
+    ("model.truncation_pooling = rpe\n", "truncation_pooling must be 'rep' or 'mean'"),
 ])
 def test_config_value_failing_validation_exits_one(workspace, capsys, command, lines, message):
     cfg = workspace / "invalid.txt"
@@ -207,7 +216,7 @@ def test_pretrain_rejects_unknown_pooling(workspace, capsys):
     cfg = workspace / "pool.txt"
     cfg.write_text(TINY_CONFIG + "model.truncation_pooling = rpe\n")
     assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
-                 "--out", str(workspace / "pre"), "--config", str(cfg)]) == 2
+                 "--out", str(workspace / "pre"), "--config", str(cfg)]) == 1
     assert "truncation_pooling must be 'rep' or 'mean'" in capsys.readouterr().err
     assert not (workspace / "pre").exists()
 

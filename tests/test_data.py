@@ -197,6 +197,24 @@ def test_rank_descending_and_matches_direct_predictions():
         assert rc.score == direct  # bitwise
 
 
+def test_rank_runs_protein_tower_once(monkeypatch):
+    from moldta import model as model_module
+    from moldta.data import Candidate
+    tower = model_module.protein_forward_ids
+    rows = []
+
+    def counted(ids, *args, **kwargs):
+        rows.append(ids.shape[0])
+        return tower(ids, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "protein_forward_ids", counted)
+    candidates = [Candidate(str(i), None, s) for i, s in
+                  enumerate(("CCO", "CN=C=O", "CXZ", "c1ccccc1", "CC(C)O", "CCO"))]
+    ranked, errors = rank_candidates(candidates, PROT, tiny_model())
+    assert len(ranked) == 5 and len(errors) == 1
+    assert rows == [1]
+
+
 def test_rank_unencodable_candidate_becomes_error_entry():
     from moldta.data import Candidate
     model = tiny_model()
