@@ -51,34 +51,28 @@ class Tensor:
             self.grad = self.grad + grad
 
 
-class Graph:
-    """Topologically ordered record of the ops behind a root tensor.
+def topological_order(root) -> list:
+    """The tensors behind root, each after all of its parents.
 
-    nodes[i]'s parents always appear at indices < i; the record is acyclic
-    by construction because tensors are immutable once created.
+    The graph is acyclic by construction: an op's parents are fixed when its
+    output is created.
     """
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root):
-        order = []
-        visited = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        return cls(order)
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return order
 
 
 def _result(data, parents, backward_fn, op):
@@ -115,7 +109,7 @@ def backward(loss):
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(Graph.trace(loss).nodes):
+    for node in reversed(topological_order(loss)):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 

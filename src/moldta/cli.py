@@ -158,6 +158,9 @@ def cmd_pretrain(args) -> int:
         raise DataError("pretraining requires a molecule vocabulary")
     run = _configured(TrainRunConfig, **sections["run"])
     heldout_fraction = sections["data"].get("heldout_fraction", HELDOUT_FRACTION)
+    if not 0.0 <= heldout_fraction < 1.0:
+        raise UsageError(f"invalid config: heldout_fraction must lie in [0, 1), "
+                         f"got {heldout_fraction!r}")
     rng = np.random.default_rng(run.seed)
     order = rng.permutation(len(lines))
     n_heldout = int(len(lines) * heldout_fraction)

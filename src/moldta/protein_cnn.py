@@ -66,7 +66,7 @@ def receptive_field(cfg: ProteinCnnConfig) -> int:
 
 
 def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights,
-                        cfg: ProteinCnnConfig, collect_conv: list | None = None) -> Tensor:
+                        cfg: ProteinCnnConfig) -> Tensor:
     """Tower over an id batch [B, L] -> pooled features [B, m_last].
 
     The fixed padded length must cover the filter stack, and every sequence
@@ -83,6 +83,4 @@ def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights,
     x = ad.embedding_lookup(w.pte, ids)
     for f, b in zip(w.filters, w.biases):
         x = ad.relu(ad.conv1d(x, f, b))
-        if collect_conv is not None:
-            collect_conv.append(x.data.copy())
     return ad.max_pool_over_length(x)

@@ -72,62 +72,48 @@ def make_masked_example(seq: EncodedSequence, vocab: Vocab, rng) -> MaskedExampl
 # optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerState:
-    """Adam moment buffers; shapes mirror the parameter list."""
-
-    m: list
-    v: list
-    t: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def init(cls, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "OptimizerState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
-def adam_step(params, grads, state: OptimizerState, lr_override: float | None = None):
-    """One bias-corrected Adam update; pure, returns (new_params, new_state)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and optimizer state must align")
-    lr = state.lr if lr_override is None else lr_override
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m = state.beta1 * m + (1 - state.beta1) * g
-        v = state.beta2 * v + (1 - state.beta2) * (g * g)
-        m_hat = m / (1 - state.beta1 ** t)
-        v_hat = v / (1 - state.beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, OptimizerState(m=new_m, v=new_v, t=t, lr=state.lr,
-                                      beta1=state.beta1, beta2=state.beta2, eps=state.eps)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamOptimizer:
-    """Applies adam_step to a named-tensor map, reading .grad buffers."""
+    """Bias-corrected Adam over a named-tensor map, updating each tensor's
+    .data in place from its .grad; a missing gradient counts as zero.
 
-    def __init__(self, named_params: dict[str, Tensor], lr: float):
-        self.names = list(named_params)
-        self.tensors = [named_params[n] for n in self.names]
-        self.state = OptimizerState.init([t.data for t in self.tensors], lr)
+    The tensors themselves are held, not their arrays, so an array rebound
+    onto a tensor (as Checkpoint.restore does) is the one updated next.
+    """
 
-    def step(self, lr_override: float | None = None):
-        grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                 for t in self.tensors]
-        new_params, self.state = adam_step([t.data for t in self.tensors], grads,
-                                           self.state, lr_override)
-        for tensor, arr in zip(self.tensors, new_params):
-            tensor.data = arr
+    def __init__(self, named_params: dict[str, Tensor]):
+        self.tensors = list(named_params.values())
+        self.m = [np.zeros_like(t.data) for t in self.tensors]
+        self.v = [np.zeros_like(t.data) for t in self.tensors]
+        self.t = 0
+
+    def step(self, lr: float):
+        self.t += 1
+        c1 = 1 - ADAM_BETA1 ** self.t
+        c2 = 1 - ADAM_BETA2 ** self.t
+        for tensor, m, v in zip(self.tensors, self.m, self.v):
+            p, g = tensor.data, tensor.grad
+            if g is None:
+                g = np.zeros_like(p)
+            elif g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+            # in place, with the roundings of the textbook form
+            # p - lr * (m / c1) / (sqrt(v / c2) + eps), so results are bitwise equal
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            update = m / c1
+            update *= lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            update /= denom
+            p -= update
 
     def zero_grad(self):
         for tensor in self.tensors:
@@ -156,6 +142,10 @@ class TrainRunConfig:
             raise ValueError("learning rate must be positive")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1]")
+        if self.log_interval < 1:
+            raise ValueError("log_interval must be at least 1")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be non-negative (0 = off)")
 
 
 def pkd_transform(kd_nanomolar: float) -> float:
@@ -251,7 +241,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
         raise ValueError("pretraining corpus has no non-empty molecules")
     rng = np.random.default_rng(run.seed)
     weights = TransformerWeights(transformer_cfg, rng)
-    optimizer = AdamOptimizer(weights.named(), run.learning_rate)
+    optimizer = AdamOptimizer(weights.named())
     warmup_steps = max(1, int(run.warmup_fraction * run.steps))
     losses = []
 
@@ -274,8 +264,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
             raise NumericalError(f"pretraining step {step}: {exc}") from exc
         optimizer.zero_grad()
         ad.backward(loss)
-        lr = run.learning_rate * min(1.0, step / warmup_steps)
-        optimizer.step(lr_override=lr)
+        optimizer.step(run.learning_rate * min(1.0, step / warmup_steps))
         losses.append(float(loss.data))
         if step_monitor is not None:
             step_monitor(step, weights)
@@ -383,7 +372,7 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
     model = DtiModel(model_cfg, mol_vocab, prot_vocab, rng)
     if warm_start is not None:
         load_warm_start(model, warm_start)
-    optimizer = AdamOptimizer(model.named_params(), run.learning_rate)
+    optimizer = AdamOptimizer(model.named_params())
     steps_per_epoch = (len(train) + run.batch_size - 1) // run.batch_size
     warmup_steps = max(1, int(run.warmup_fraction * run.epochs * steps_per_epoch))
     step = 0
@@ -408,7 +397,7 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
             optimizer.zero_grad()
             ad.backward(loss)
             step += 1
-            optimizer.step(lr_override=run.learning_rate * min(1.0, step / warmup_steps))
+            optimizer.step(run.learning_rate * min(1.0, step / warmup_steps))
             epoch_losses.append(float(loss.data))
         dev_mse = _dev_mse(model, dev)
         entry = {"epoch": epoch, "train_mse": float(np.mean(epoch_losses)),

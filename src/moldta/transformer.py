@@ -9,7 +9,6 @@ batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -120,8 +119,7 @@ def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
 
 
 def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
-                    cfg: TransformerConfig, training: bool = False, rng=None,
-                    collect_attn: Optional[list] = None) -> Tensor:
+                    cfg: TransformerConfig, training: bool = False, rng=None) -> Tensor:
     """One encoder block over [B, L, D] with a boolean key mask [B, L]."""
     b, length, d = x.data.shape
     h, dk = cfg.num_heads, cfg.head_dim
@@ -135,8 +133,6 @@ def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
     probs = ad.softmax_rows(scores, mask=key_mask[:, None, None, :])
-    if collect_attn is not None:
-        collect_attn.append(probs.data.copy())
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, length, d))
     attn_out = ad.add(ad.matmul(ctx, layer.wo), layer.bo)
     attn_out = ad.dropout(attn_out, cfg.dropout, training, rng)
@@ -149,13 +145,12 @@ def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
 
 
 def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
-               cfg: TransformerConfig, training: bool = False, rng=None,
-               collect_attn: Optional[list] = None) -> Tensor:
+               cfg: TransformerConfig, training: bool = False, rng=None) -> Tensor:
     """Full encoder over an id batch [B, L] -> [B, L, D]."""
     x = embed_ids(ids, w)
     for layer in w.layers:
         x = attention_block(x, np.asarray(mask, dtype=bool), layer, cfg,
-                            training=training, rng=rng, collect_attn=collect_attn)
+                            training=training, rng=rng)
     return x
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from capture import op_outputs
 from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta import transformer as mt
@@ -163,8 +164,8 @@ def test_criterion_4_attention_invariants():
         ids = np.stack([e.ids for e in encs])
         mask = np.stack([e.mask for e in encs])
 
-        attn = []
-        base = mt.encode_ids(ids, mask, w, cfg, collect_attn=attn)
+        with op_outputs("softmax_rows") as attn:
+            base = mt.encode_ids(ids, mask, w, cfg)
         for probs in attn:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
             for row in range(ids.shape[0]):

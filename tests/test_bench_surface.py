@@ -8,6 +8,7 @@ puts every original attribute back.
 """
 
 import importlib
+import math
 import types
 from pathlib import Path
 
@@ -48,6 +49,15 @@ def assert_restored(snapshot):
         assert not changed, (owner, changed)
 
 
+def tiny_kiba_cfg(m, mol_vocab, prot_vocab):
+    return m.model.ModelConfig.for_mode(
+        "kiba", len(mol_vocab), len(prot_vocab),
+        {"codec": {"mol_max_len": 8, "prot_max_len": 16},
+         "transformer": {"num_layers": 1, "num_heads": 2, "hidden": 4, "intermediate": 6},
+         "protein": {"embed_dim": 3, "filter_lengths": (2, 2), "filter_counts": (3, 4)},
+         "interaction": {"dense_sizes": (5,)}})
+
+
 def test_install_layers_binds_every_traced_name_and_restores(moldta):
     tracing = load_tracing()
     before = attribute_snapshot(moldta)
@@ -67,12 +77,7 @@ def test_traced_forward_records_layer_spans(moldta):
     codec = moldta.codec
     mol_vocab = codec.build_vocab(["CCO", "CN=O"], codec.MOLECULE)
     prot_vocab = codec.build_vocab(["MKTAYIAKQR"], codec.PROTEIN)
-    cfg = moldta.model.ModelConfig.for_mode(
-        "kiba", len(mol_vocab), len(prot_vocab),
-        {"codec": {"mol_max_len": 8, "prot_max_len": 12},
-         "transformer": {"num_layers": 1, "num_heads": 2, "hidden": 4, "intermediate": 6},
-         "protein": {"embed_dim": 3, "filter_lengths": (2, 2), "filter_counts": (3, 4)},
-         "interaction": {"dense_sizes": (5,)}})
+    cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
     model = moldta.model.DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
     mol = codec.encode_molecule("CCO", mol_vocab, cfg.codec)
     prot = codec.encode_protein("MKTAYIAKQR", prot_vocab, cfg.codec)
@@ -89,3 +94,36 @@ def test_traced_forward_records_layer_spans(moldta):
     assert {"model.predict", "model.forward_ids", "transformer.encode_ids",
             "transformer.attention_block", "protein_cnn.forward",
             "interaction.predict_affinity_batch", "autodiff.matmul"} <= names
+
+
+def test_step_clock_counts_optimizer_steps_and_restores(moldta):
+    # the benchmark's setup_s and unit_ms_p50 come from StepClock, which
+    # marks set-up and step ends on AdamOptimizer.__init__ and .step
+    tracing = load_tracing()
+    codec, training = moldta.codec, moldta.training
+    smiles = ["CCO", "CN=O", "OCC", "NCC", "CCNC", "OC=O", "CNC"]
+    prots = ["MKTAYIAKQRQISF", "MTEYKLVVVGAGGV"]
+    mol_vocab = codec.build_vocab(smiles, codec.MOLECULE)
+    prot_vocab = codec.build_vocab(prots, codec.PROTEIN)
+    cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
+    train = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec),
+                                    codec.encode_protein(prots[i % 2], prot_vocab, cfg.codec),
+                                    10.0 + 0.1 * i)
+             for i, s in enumerate(smiles)]
+    run = training.TrainRunConfig(seed=0, batch_size=3, steps=3, epochs=1)
+    before = attribute_snapshot(moldta)
+    clock, patches = tracing.StepClock(), tracing.Patches()
+    try:
+        clock.install(patches, training.AdamOptimizer)
+        clock.begin_call()
+        training.pretrain(smiles, mol_vocab, cfg.transformer, run, codec_cfg=cfg.codec)
+        _, pretrain_steps, _ = clock.end_call()
+        clock.begin_call()
+        training.finetune(train, train[:2], cfg, run, mol_vocab, prot_vocab)
+        _, finetune_steps, _ = clock.end_call()
+    finally:
+        patches.restore()
+    assert_restored(before)
+    assert len(pretrain_steps) == run.steps
+    assert len(finetune_steps) == math.ceil(len(train) / run.batch_size)
+    assert min(pretrain_steps + finetune_steps) > 0.0

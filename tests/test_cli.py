@@ -199,6 +199,8 @@ def test_warm_start_without_codec_exits_two(workspace, capsys):
     ("train.batch_size = 0\n", "batch_size, steps and epochs must be positive"),
     ("model.hidden = 10\nmodel.num_heads = 4\n", "divisible"),
     ("model.truncation_pooling = rpe\n", "truncation_pooling must be 'rep' or 'mean'"),
+    ("train.log_interval = 0\n", "log_interval must be at least 1"),
+    ("train.checkpoint_interval = -1\n", "checkpoint_interval must be non-negative"),
 ])
 def test_config_value_failing_validation_exits_one(workspace, capsys, command, lines, message):
     cfg = workspace / "invalid.txt"
@@ -210,6 +212,19 @@ def test_config_value_failing_validation_exits_one(workspace, capsys, command, l
     err = capsys.readouterr().err
     assert err.startswith("usage error: invalid config: ") and message in err
     assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("fraction", ["-0.5", "1", "1.5"])
+def test_pretrain_heldout_fraction_outside_unit_interval_exits_one(workspace, capsys,
+                                                                   fraction):
+    cfg = workspace / "heldout.txt"
+    cfg.write_text(TINY_CONFIG + f"data.heldout_fraction = {fraction}\n")
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
+                 "--out", str(workspace / "pre"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: invalid config: ")
+    assert "heldout_fraction must lie in [0, 1)" in err
+    assert not (workspace / "pre").exists()
 
 
 def test_pretrain_rejects_unknown_pooling(workspace, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capture import op_outputs
 from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta import protein_cnn as pc
@@ -51,8 +52,8 @@ def test_conv_length_arithmetic_after_first_layer():
     ids = np.zeros((1, 1000), dtype=np.int64)
     mask = np.zeros((1, 1000), dtype=bool)
     mask[0, :40] = True
-    collected = []
-    protein_forward_ids(ids, mask, w, cfg, collect_conv=collected)
+    with op_outputs("relu") as collected:
+        protein_forward_ids(ids, mask, w, cfg)
     assert collected[0].shape == (1, 989, 32)   # 1000 - 12 + 1
     assert collected[1].shape == (1, 978, 64)
     assert collected[2].shape == (1, 967, 96)
@@ -107,9 +108,10 @@ def test_locality_distant_permutation_leaves_conv_columns_unchanged():
     swapped = ids.copy()
     swapped[0, i], swapped[0, j] = ids[0, j], ids[0, i]
     mask = np.ones((1, length), dtype=bool)
-    a_conv, b_conv = [], []
-    protein_forward_ids(ids, mask, w, TINY, collect_conv=a_conv)
-    protein_forward_ids(swapped, mask, w, TINY, collect_conv=b_conv)
+    with op_outputs("relu") as a_conv:
+        protein_forward_ids(ids, mask, w, TINY)
+    with op_outputs("relu") as b_conv:
+        protein_forward_ids(swapped, mask, w, TINY)
     last_a, last_b = a_conv[-1], b_conv[-1]
     out_positions = last_a.shape[1]
     for pos in range(out_positions):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moldta import transformer as mt
+from moldta.autodiff import Tensor
 from moldta.codec import (MASK, MOLECULE, PROTEIN, CodecConfig, build_vocab,
                           encode_molecule)
 from moldta.checkpoint import Checkpoint
@@ -13,8 +14,7 @@ from moldta.errors import DataError, NumericalError
 from moldta.interaction import InteractionConfig
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
-from moldta.training import (AdamOptimizer, OptimizerState, TrainRunConfig,
-                             adam_step, encode_affinity_data, finetune,
+from moldta.training import (AdamOptimizer, TrainRunConfig, encode_affinity_data, finetune,
                              load_warm_start, make_masked_example,
                              masked_token_accuracy, pkd_transform, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
@@ -143,52 +143,87 @@ def test_masking_statistics_and_special_token_immunity():
 # adam
 # ---------------------------------------------------------------------------
 
+def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook bias-corrected Adam step t on plain arrays (Kingma & Ba,
+    Algorithm 1); returns new (params, m, v) and leaves its inputs alone."""
+    new_params, new_m, new_v = [], [], []
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i = beta1 * m_i + (1 - beta1) * g
+        v_i = beta2 * v_i + (1 - beta2) * (g * g)
+        m_hat = m_i / (1 - beta1 ** t)
+        v_hat = v_i / (1 - beta2 ** t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_params, new_m, new_v
+
+
 def test_adam_zero_gradient_leaves_params():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    state = OptimizerState.init(params, lr=0.1)
-    new_params, new_state = adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-    for p, q in zip(params, new_params):
-        np.testing.assert_array_equal(p, q)
-    assert new_state.t == 1
+    tensors = [Tensor(p.copy(), requires_grad=True) for p in params]
+    opt = AdamOptimizer({"a": tensors[0], "b": tensors[1]})
+    for t in tensors:
+        t.grad = np.zeros_like(t.data)
+    opt.step(0.1)
+    for p, t in zip(params, tensors):
+        np.testing.assert_array_equal(p, t.data)
+    assert opt.t == 1
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
     for g in (3.7, -0.02, 150.0):
-        params = [np.array([5.0])]
-        state = OptimizerState.init(params, lr=0.01)
-        new_params, _ = adam_step(params, [np.array([g])], state)
-        delta = float((new_params[0] - params[0])[0])
+        t = Tensor(np.array([5.0]), requires_grad=True)
+        opt = AdamOptimizer({"p": t})
+        t.grad = np.array([g])
+        opt.step(0.01)
+        delta = float(t.data[0] - 5.0)
         assert delta == pytest.approx(-0.01 * np.sign(g), rel=1e-5)
 
 
-def test_adam_step_is_pure():
-    params = [np.array([1.0, 2.0])]
-    grads = [np.array([0.5, -0.5])]
-    state = OptimizerState.init(params, lr=0.05)
-    out1 = adam_step(params, grads, state)
-    out2 = adam_step(params, grads, state)
-    np.testing.assert_array_equal(out1[0][0], out2[0][0])
-    np.testing.assert_array_equal(out1[1].m[0], out2[1].m[0])
-    np.testing.assert_array_equal(params[0], [1.0, 2.0])  # inputs untouched
-
-
 def test_adam_shape_mismatch():
-    params = [np.zeros(3)]
-    state = OptimizerState.init(params, lr=0.1)
+    t = Tensor(np.zeros(3), requires_grad=True)
+    opt = AdamOptimizer({"p": t})
+    t.grad = np.zeros(4)
     with pytest.raises(ValueError):
-        adam_step(params, [np.zeros(4)], state)
+        opt.step(0.1)
 
 
 def test_adam_optimizer_applies_and_zeroes():
-    from moldta.autodiff import Tensor
     t = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-    opt = AdamOptimizer({"p": t}, lr=0.5)
+    opt = AdamOptimizer({"p": t})
     t.grad = np.array([1.0, -1.0])
-    opt.step()
+    opt.step(0.5)
     assert t.data[0] < 1.0 < t.data[1]
     opt.zero_grad()
     assert t.grad is None
+
+
+def test_adam_optimizer_matches_reference_bitwise():
+    # warmup-scheduled steps; the second tensor has no gradient on odd steps,
+    # as the LM head has none in fine-tuning, which counts as a zero gradient
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (5,), (2, 1, 3)]
+    params = [rng.normal(size=s) for s in shapes]
+    tensors = [Tensor(p.copy(), requires_grad=True) for p in params]
+    opt = AdamOptimizer({f"p{i}": t for i, t in enumerate(tensors)})
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    warmup, base_lr = 4, 3e-3
+    for step in range(1, 9):
+        grads = [rng.normal(size=s) for s in shapes]
+        for t, g in zip(tensors, grads):
+            t.grad = g
+        if step % 2:
+            grads[1] = np.zeros(shapes[1])
+            tensors[1].grad = None
+        lr = base_lr * min(1.0, step / warmup)
+        opt.step(lr)
+        params, m, v = adam_reference(params, grads, m, v, step, lr)
+        for t, p in zip(tensors, params):
+            assert t.data.tobytes() == p.tobytes()
+        for got, want in zip(opt.m + opt.v, m + v):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

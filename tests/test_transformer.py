@@ -5,6 +5,7 @@ padding immunity, pooling, and gradient integrity on a tiny config.
 import numpy as np
 import pytest
 
+from capture import op_outputs
 from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta import transformer as mt
@@ -88,9 +89,9 @@ def test_attention_single_unmasked_position_weight_one():
     w = tiny_weights()
     mask = np.zeros((1, 8), dtype=bool)
     mask[0, 0] = True
-    attn = []
     x = ad.Tensor(np.random.default_rng(2).normal(size=(1, 8, 4)))
-    mt.attention_block(x, mask, w.layers[0], TINY, collect_attn=attn)
+    with op_outputs("softmax_rows") as attn:
+        mt.attention_block(x, mask, w.layers[0], TINY)
     # every query attends to the single real key with weight exactly 1
     assert (attn[0][:, :, :, 0] == 1.0).all()
     assert (attn[0][:, :, :, 1:] == 0.0).all()
@@ -107,9 +108,8 @@ def test_attention_matches_hand_computation_two_tokens():
     layer.wq.data, layer.wk.data, layer.wv.data = wq.copy(), wk.copy(), wv.copy()
     layer.bq.data[:] = 0; layer.bk.data[:] = 0; layer.bv.data[:] = 0
     x = np.array([[0.7, -1.2], [0.4, 2.0]])
-    attn = []
-    mt.attention_block(ad.Tensor(x[None]), np.ones((1, 2), dtype=bool), layer, cfg,
-                       collect_attn=attn)
+    with op_outputs("softmax_rows") as attn:
+        mt.attention_block(ad.Tensor(x[None]), np.ones((1, 2), dtype=bool), layer, cfg)
     scores = (x @ wq) @ (x @ wk).T / np.sqrt(2.0)
     expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
     expected /= expected.sum(axis=-1, keepdims=True)
@@ -150,8 +150,8 @@ def test_attention_rows_sum_to_one_and_pads_get_zero():
     w = tiny_weights()
     ids = np.array([[1, 6, 7, 8, 0, 0, 0, 0]])
     mask = np.array([[True, True, True, True, False, False, False, False]])
-    attn = []
-    mt.encode_ids(ids, mask, w, TINY, collect_attn=attn)
+    with op_outputs("softmax_rows") as attn:
+        mt.encode_ids(ids, mask, w, TINY)
     for probs in attn:
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert (probs[..., ~mask[0]] == 0.0).all()
