@@ -1,14 +1,18 @@
 """Dense-tensor numerical core with reverse-mode differentiation.
 
 Tensors wrap contiguous row-major numpy buffers (float64 by default).
-Every operation records its parents and a backward closure; backward()
-replays the tape in reverse topological order and accumulates gradients
-additively, so fan-out (a tensor used twice) sums both contributions.
-No operation mutates its inputs.
+Every operation on a tensor that requires grad records its parents and a
+backward closure; backward() replays the tape in reverse topological order
+and accumulates gradients additively, so fan-out (a tensor used twice) sums
+both contributions. It frees the tape as it goes: each op output drops its
+gradient, closure and parents once its closure has run, so a graph can be
+differentiated once; leaf gradients accumulate across separate graphs.
+Inside no_grad() ops record no tape at all. No operation mutates its inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 
@@ -75,12 +79,27 @@ def topological_order(root) -> list:
     return order
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: op outputs do not require grad and
+    keep neither parents nor a backward closure. Values are unchanged."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data, parents, backward_fn, op):
     """Wrap an op output, recording provenance and enforcing finiteness."""
     if not np.isfinite(data).all():
         raise NumericalError(f"non-finite values produced by op '{op}'")
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -99,19 +118,39 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _spent(node) -> bool:
+    """True for an op output whose tape a backward pass already released."""
+    return node.requires_grad and node._backward is None and node._op != "leaf"
+
+
 def backward(loss):
-    """Propagate d(loss)/d(tensor) into .grad for every requires_grad tensor.
+    """Propagate d(loss)/d(tensor) into .grad for every leaf tensor that
+    requires grad (parameters, and tensors created with requires_grad=True).
 
     loss must be a scalar (one element). Gradients accumulate additively
-    across uses and across repeated backward calls; clear them between
-    optimization steps.
+    across uses and across backward calls on separate graphs; clear them
+    between optimization steps. The graph is released as the pass runs:
+    each op output drops its gradient, closure and parents once its closure
+    has run, so its buffers are freed as soon as nothing else holds them.
+    A second backward through a released graph raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    order = topological_order(loss)
+    if any(_spent(node) for node in order):
+        raise ValueError("backward through a graph that was already used; "
+                         "its tape was released by the first backward")
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(topological_order(loss)):
-        if node._backward is not None and node.grad is not None:
+    for i in range(len(order) - 1, -1, -1):
+        node = order[i]
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._backward = None
+        node._parents = ()
+        order[i] = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import transformer as mt
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .checkpoint import Checkpoint
 from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, stack_sequences
 from .errors import DataError
@@ -139,7 +139,8 @@ class DtiModel:
                                       training=training, rng=rng)
 
     def predict(self, enc_mols, enc_prots, batch_size: int = 32) -> np.ndarray:
-        """Inference-mode predictions for aligned encoded sequence lists.
+        """Inference-mode predictions for aligned encoded sequence lists,
+        computed without recording a tape.
 
         A batch whose stacked proteins equal the previous batch's reuses that
         batch's tower output, so ranking many molecules against one target
@@ -150,17 +151,17 @@ class DtiModel:
             raise ValueError("molecule and protein lists must align")
         out = np.empty(len(enc_mols), dtype=np.float64)
         prev_ids = prev_mask = p_rep = None
-        for start in range(0, len(enc_mols), batch_size):
-            mols = enc_mols[start:start + batch_size]
-            prot_ids, prot_mask = stack_sequences(enc_prots[start:start + batch_size])
-            if not (np.array_equal(prot_ids, prev_ids) and np.array_equal(prot_mask, prev_mask)):
-                # detached: holding the tower's graph would keep its conv
-                # intermediates alive for the rest of the call
-                p_rep = Tensor(protein_forward_ids(prot_ids, prot_mask, self.pw,
-                                                   self.cfg.protein).data)
-                prev_ids, prev_mask = prot_ids, prot_mask
-            pred = self.forward_ids(*stack_sequences(mols), prot_ids, prot_mask, p_rep=p_rep)
-            out[start:start + len(mols)] = pred.data
+        with no_grad():
+            for start in range(0, len(enc_mols), batch_size):
+                mols = enc_mols[start:start + batch_size]
+                prot_ids, prot_mask = stack_sequences(enc_prots[start:start + batch_size])
+                if not (np.array_equal(prot_ids, prev_ids)
+                        and np.array_equal(prot_mask, prev_mask)):
+                    p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein)
+                    prev_ids, prev_mask = prot_ids, prot_mask
+                pred = self.forward_ids(*stack_sequences(mols), prot_ids, prot_mask,
+                                        p_rep=p_rep)
+                out[start:start + len(mols)] = pred.data
         return out
 
     def to_checkpoint(self, extra_meta: dict | None = None) -> Checkpoint:

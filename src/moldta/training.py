@@ -136,6 +136,8 @@ class TrainRunConfig:
     log_interval: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if min(self.batch_size, self.steps, self.epochs) <= 0:
             raise ValueError("batch_size, steps and epochs must be positive")
         if self.learning_rate <= 0:
@@ -188,13 +190,14 @@ def masked_token_accuracy(encs, vocab, w: TransformerWeights, cfg: TransformerCo
     rng = np.random.default_rng(seed)
     correct = 0
     total = 0
-    for start in range(0, len(encs), batch_size):
-        chunk = encs[start:start + batch_size]
-        inputs, masks, labels = _masked_batch(chunk, vocab, rng)
-        logits, truths = _masked_lm_logits(inputs, masks, labels, w, cfg,
-                                           training=False, rng=None)
-        correct += int((logits.data.argmax(axis=-1) == truths).sum())
-        total += truths.size
+    with ad.no_grad():
+        for start in range(0, len(encs), batch_size):
+            chunk = encs[start:start + batch_size]
+            inputs, masks, labels = _masked_batch(chunk, vocab, rng)
+            logits, truths = _masked_lm_logits(inputs, masks, labels, w, cfg,
+                                               training=False, rng=None)
+            correct += int((logits.data.argmax(axis=-1) == truths).sum())
+            total += truths.size
     return correct / total if total else 0.0
 
 
@@ -208,9 +211,10 @@ def masked_token_loss(encs, vocab, w: TransformerWeights, cfg: TransformerConfig
     """
     rng = np.random.default_rng(seed)
     inputs, masks, labels = _masked_batch(encs, vocab, rng)
-    logits, truths = _masked_lm_logits(inputs, masks, labels, w, cfg,
-                                       training=False, rng=None)
-    return float(ad.softmax_cross_entropy(logits, truths).data)
+    with ad.no_grad():
+        logits, truths = _masked_lm_logits(inputs, masks, labels, w, cfg,
+                                           training=False, rng=None)
+        return float(ad.softmax_cross_entropy(logits, truths).data)
 
 
 @dataclass

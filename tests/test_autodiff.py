@@ -2,6 +2,8 @@
 reverse-mode gradients against central finite differences for every op.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,84 @@ def test_graph_trace_is_topologically_ordered():
         for parent in node._parents:
             assert id(parent) in seen, "parent appeared after child"
         seen.add(id(node))
+
+
+# ---------------------------------------------------------------------------
+# tape lifetime: released by backward, never recorded under no_grad
+# ---------------------------------------------------------------------------
+
+def test_backward_frees_intermediate_outputs_while_loss_is_held():
+    x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    product = ad.matmul(x, Tensor(RNG.normal(size=(3, 5))))
+    probe = weakref.ref(product.data)
+    loss = ad.reduce_sum(ad.gelu(product))
+    del product
+    assert probe() is not None
+    ad.backward(loss)
+    assert probe() is None
+    assert loss.data.shape == ()
+
+
+def test_backward_keeps_leaf_gradients_and_releases_the_loss():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    loss = ad.reduce_sum(ad.multiply(x, x))
+    ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+    assert loss._parents == ()
+    assert loss._backward is None and loss.grad is None
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    squares = ad.multiply(x, x)
+    loss = ad.reduce_sum(squares)
+    ad.backward(loss)
+    with pytest.raises(ValueError, match="already used"):
+        ad.backward(loss)
+    with pytest.raises(ValueError, match="already used"):
+        ad.backward(ad.reduce_mean(squares))    # shares the released node
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+
+def test_leaf_gradients_accumulate_across_separate_graphs():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    ad.backward(ad.reduce_sum(x))
+    ad.backward(ad.reduce_sum(ad.scale(x, 3.0)))
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
+
+
+def test_no_grad_records_no_tape_and_keeps_values_bitwise():
+    x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
+    gain = Tensor(RNG.normal(size=(4,)), requires_grad=True)
+    bias = Tensor(RNG.normal(size=(4,)), requires_grad=True)
+
+    def build():
+        h = ad.layer_norm(ad.gelu(ad.matmul(x, w)), gain, bias)
+        return ad.max_pool_over_length(ad.softmax_rows(ad.add(h, x)))
+
+    taped = build()
+    with ad.no_grad():
+        untaped = build()
+    assert taped.requires_grad and taped._parents
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert not untaped.requires_grad
+    assert untaped._parents == () and untaped._backward is None
+
+
+def test_no_grad_restores_recording_after_nesting_and_errors():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.add(x, x).requires_grad
+        assert not ad.add(x, x).requires_grad
+    assert ad.add(x, x).requires_grad
+    big = Tensor(np.array([1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="multiply"):
+            with ad.no_grad():
+                ad.multiply(big, big)
+    assert ad.add(x, x).requires_grad
 
 
 def test_ops_do_not_mutate_inputs():

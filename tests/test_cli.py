@@ -201,6 +201,7 @@ def test_warm_start_without_codec_exits_two(workspace, capsys):
     ("model.truncation_pooling = rpe\n", "truncation_pooling must be 'rep' or 'mean'"),
     ("train.log_interval = 0\n", "log_interval must be at least 1"),
     ("train.checkpoint_interval = -1\n", "checkpoint_interval must be non-negative"),
+    ("train.seed = -1\n", "seed must be non-negative"),
 ])
 def test_config_value_failing_validation_exits_one(workspace, capsys, command, lines, message):
     cfg = workspace / "invalid.txt"
@@ -212,6 +213,16 @@ def test_config_value_failing_validation_exits_one(workspace, capsys, command, l
     err = capsys.readouterr().err
     assert err.startswith("usage error: invalid config: ") and message in err
     assert not (workspace / "out").exists()
+
+
+def test_pretrain_negative_seed_flag_exits_one(workspace, capsys):
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
+                 "--out", str(workspace / "pre"), "--config", str(workspace / "config.txt"),
+                 "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: invalid config: ")
+    assert "seed must be non-negative, got -1" in err
+    assert not (workspace / "pre").exists()
 
 
 @pytest.mark.parametrize("fraction", ["-0.5", "1", "1.5"])
