@@ -364,14 +364,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _result(data, (a, gain, bias), backward_fn, "layer_norm")
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng=None) -> Tensor:
-    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate)."""
+def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
+    """Inverted dropout: zero with probability rate, scale survivors by
+    1/(1-rate). Without an rng (inference) it returns its input."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     keep = rng.random(a.data.shape) >= rate
     factor = 1.0 / (1.0 - rate)
     data = a.data * keep * factor

@@ -73,7 +73,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(lines, start=1):
@@ -214,7 +214,7 @@ def cmd_finetune(args) -> int:
     prot_vocab = build_vocab((r.fasta for r in records), PROTEIN)
 
     model_cfg = _configured(ModelConfig.for_mode, args.mode, len(mol_vocab),
-                            len(prot_vocab), sections, **sections["model"])
+                            len(prot_vocab), sections)
     train_enc, dev_enc = (encode_affinity_data(part, mol_vocab, prot_vocab, model_cfg.codec,
                                                model_cfg.keep_rep_when_truncated)
                           for part in (train_records, dev_records))
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

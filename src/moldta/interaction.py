@@ -49,9 +49,9 @@ class InteractionWeights:
 
 
 def predict_affinity_batch(m_rep: Tensor, p_rep: Tensor, w: InteractionWeights,
-                           cfg: InteractionConfig, training: bool = False,
                            rng=None) -> Tensor:
-    """Affinity scores [B] from molecule [B, D_M] and protein [B, m] vectors."""
+    """Affinity scores [B] from molecule [B, D_M] and protein [B, m] vectors;
+    dropout runs when an rng is given."""
     joint = ad.concat([m_rep, p_rep], axis=-1)
     if joint.data.shape[-1] != w.in_width:
         raise ValueError(
@@ -60,7 +60,7 @@ def predict_affinity_batch(m_rep: Tensor, p_rep: Tensor, w: InteractionWeights,
     x = joint
     for dense_w, dense_b in w.dense:
         x = ad.relu(ad.add(ad.matmul(x, dense_w), dense_b))
-        x = ad.dropout(x, cfg.dropout, training, rng)
+        x = ad.dropout(x, w.cfg.dropout, rng)
     out = ad.add(ad.matmul(x, w.reg_w), w.reg_b)
     return ad.reshape(out, out.data.shape[:-1])
 

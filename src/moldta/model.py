@@ -74,10 +74,10 @@ class ModelConfig:
 
     @classmethod
     def for_mode(cls, mode: str, mol_vocab_size: int, prot_vocab_size: int,
-                 sections: dict | None = None, **overrides) -> "ModelConfig":
+                 sections: dict | None = None) -> "ModelConfig":
         """The dataclass defaults overlaid with the mode's preset, then with
-        `sections` ({"codec"|"transformer"|"protein"|"interaction": {field:
-        value}}) and with top-level field `overrides`."""
+        `sections` ({"codec"|"transformer"|"protein"|"interaction"|"model":
+        {field: value}}, "model" holding ModelConfig's own fields)."""
         if mode not in MODE_PRESETS:
             raise ValueError(f"unknown dataset mode {mode!r}")
         preset = MODE_PRESETS[mode]
@@ -93,7 +93,7 @@ class ModelConfig:
                                         **sections.get("protein", {})}),
             interaction=InteractionConfig(**{"dense_sizes": preset["dense_sizes"],
                                              **sections.get("interaction", {})}),
-            **overrides)
+            **sections.get("model", {}))
 
 
 class DtiModel:
@@ -121,22 +121,21 @@ class DtiModel:
         return out
 
     def forward_ids(self, mol_ids, mol_mask, prot_ids, prot_mask,
-                    training: bool = False, rng=None, p_rep: Tensor | None = None) -> Tensor:
-        """Affinity predictions [B] for encoded molecule/protein id batches.
+                    rng=None, p_rep: Tensor | None = None) -> Tensor:
+        """Affinity predictions [B] for encoded molecule/protein id batches;
+        dropout runs when an rng is given.
 
         `p_rep`, when given, is the protein tower's output for exactly these
         protein ids and mask; the tower is then not run again.
         """
-        encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, self.cfg.transformer,
-                                training=training, rng=rng)
+        encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, rng)
         if self.cfg.truncation_pooling == "rep":
             m_rep = mt.pool_rep_batch(encoded)
         else:
             m_rep = mt.pool_mean_batch(encoded, mol_mask)
         if p_rep is None:
-            p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein)
-        return predict_affinity_batch(m_rep, p_rep, self.iw, self.cfg.interaction,
-                                      training=training, rng=rng)
+            p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw)
+        return predict_affinity_batch(m_rep, p_rep, self.iw, rng)
 
     def predict(self, enc_mols, enc_prots, batch_size: int = 32) -> np.ndarray:
         """Inference-mode predictions for aligned encoded sequence lists,
@@ -157,7 +156,7 @@ class DtiModel:
                 prot_ids, prot_mask = stack_sequences(enc_prots[start:start + batch_size])
                 if not (np.array_equal(prot_ids, prev_ids)
                         and np.array_equal(prot_mask, prev_mask)):
-                    p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw, self.cfg.protein)
+                    p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw)
                     prev_ids, prev_mask = prot_ids, prot_mask
                 pred = self.forward_ids(*stack_sequences(mols), prot_ids, prot_mask,
                                         p_rep=p_rep)

@@ -65,8 +65,7 @@ def receptive_field(cfg: ProteinCnnConfig) -> int:
     return sum(s - 1 for s in cfg.filter_lengths) + 1
 
 
-def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights,
-                        cfg: ProteinCnnConfig) -> Tensor:
+def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights) -> Tensor:
     """Tower over an id batch [B, L] -> pooled features [B, m_last].
 
     The fixed padded length must cover the filter stack, and every sequence
@@ -74,7 +73,7 @@ def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights,
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    rf = receptive_field(cfg)
+    rf = receptive_field(w.cfg)
     real = mask.sum(axis=-1)
     if (real < rf).any():
         raise ValueError(

@@ -175,46 +175,37 @@ def _masked_batch(encs, vocab, rng):
     return inputs, masks, (np.array(rows), np.array(positions), np.array(truths))
 
 
-def _masked_lm_logits(inputs, masks, labels, w, cfg, training, rng):
+def _masked_lm_logits(inputs, masks, labels, w, rng=None):
     rows, positions, truths = labels
     b, length = inputs.shape
-    enc = mt.encode_ids(inputs, masks, w, cfg, training=training, rng=rng)
-    flat = ad.reshape(enc, (b * length, cfg.hidden))
+    enc = mt.encode_ids(inputs, masks, w, rng)
+    flat = ad.reshape(enc, (b * length, w.cfg.hidden))
     picked = ad.embedding_lookup(flat, rows * length + positions)
     return mt.lm_logits(picked, w), truths
 
 
-def masked_token_accuracy(encs, vocab, w: TransformerWeights, cfg: TransformerConfig,
-                          seed: int, batch_size: int = 64) -> float:
-    """Fraction of masked positions whose argmax logit is the original token."""
-    rng = np.random.default_rng(seed)
-    correct = 0
-    total = 0
-    with ad.no_grad():
-        for start in range(0, len(encs), batch_size):
-            chunk = encs[start:start + batch_size]
-            inputs, masks, labels = _masked_batch(chunk, vocab, rng)
-            logits, truths = _masked_lm_logits(inputs, masks, labels, w, cfg,
-                                               training=False, rng=None)
-            correct += int((logits.data.argmax(axis=-1) == truths).sum())
-            total += truths.size
-    return correct / total if total else 0.0
+EVAL_CHUNK = 64  # molecules per forward pass in masked_token_eval
 
 
-def masked_token_loss(encs, vocab, w: TransformerWeights, cfg: TransformerConfig,
-                      seed: int) -> float:
-    """Cross-entropy over one fixed-seed masking of a sequence set.
+def masked_token_eval(encs, vocab, w: TransformerWeights, seed: int) -> tuple[float, float]:
+    """(cross-entropy, accuracy) over one fixed-seed masking of a sequence set.
 
     The masks depend only on the seed and the sequences, so across calls this
-    measures the loss on the same corrupted inputs: a deterministic function
-    of the weights, suitable for monitoring training progress.
+    measures the same corrupted inputs: a deterministic function of the
+    weights, suitable for monitoring training progress. Accuracy is the
+    fraction of masked positions whose argmax logit is the original token.
     """
     rng = np.random.default_rng(seed)
-    inputs, masks, labels = _masked_batch(encs, vocab, rng)
+    loss_sum = 0.0
+    correct = total = 0
     with ad.no_grad():
-        logits, truths = _masked_lm_logits(inputs, masks, labels, w, cfg,
-                                           training=False, rng=None)
-        return float(ad.softmax_cross_entropy(logits, truths).data)
+        for start in range(0, len(encs), EVAL_CHUNK):
+            inputs, masks, labels = _masked_batch(encs[start:start + EVAL_CHUNK], vocab, rng)
+            logits, truths = _masked_lm_logits(inputs, masks, labels, w)
+            loss_sum += float(ad.softmax_cross_entropy(logits, truths).data) * truths.size
+            correct += int((logits.data.argmax(axis=-1) == truths).sum())
+            total += truths.size
+    return loss_sum / total, correct / total
 
 
 @dataclass
@@ -261,8 +252,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
         idx = rng.integers(0, len(encs), size=min(run.batch_size, len(encs)))
         inputs, masks, labels = _masked_batch([encs[i] for i in idx], vocab, rng)
         try:
-            logits, truths = _masked_lm_logits(inputs, masks, labels, weights,
-                                               transformer_cfg, training=True, rng=rng)
+            logits, truths = _masked_lm_logits(inputs, masks, labels, weights, rng)
             loss = ad.softmax_cross_entropy(logits, truths)
         except NumericalError as exc:
             raise NumericalError(f"pretraining step {step}: {exc}") from exc
@@ -282,8 +272,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
         heldout_encs = [encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated)
                         for s in heldout if s]
         if heldout_encs:
-            accuracy = masked_token_accuracy(heldout_encs, vocab, weights,
-                                             transformer_cfg, seed=run.seed + 1)
+            _, accuracy = masked_token_eval(heldout_encs, vocab, weights, seed=run.seed + 1)
     return PretrainResult(checkpoint=snapshot(run.steps), losses=losses,
                           heldout_accuracy=accuracy,
                           payload_baseline=1.0 / vocab.payload_ids().size)
@@ -393,8 +382,7 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
             targets = np.array([r.affinity for r in batch])
             try:
                 pred = model.forward_ids(*stack_sequences([r.mol for r in batch]),
-                                         *stack_sequences([r.prot for r in batch]),
-                                         training=True, rng=rng)
+                                         *stack_sequences([r.prot for r in batch]), rng)
                 loss = mse_loss(pred, targets)
             except NumericalError as exc:
                 raise NumericalError(f"fine-tuning epoch {epoch}: {exc}") from exc

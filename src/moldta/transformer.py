@@ -76,6 +76,7 @@ class LayerWeights:
               "ln2_g", "ln2_b")
 
     def __init__(self, cfg: TransformerConfig, rng):
+        self.cfg = cfg
         d, inter = cfg.hidden, cfg.intermediate
         self.wq, self.wk, self.wv = _param((d, d), rng), _param((d, d), rng), _param((d, d), rng)
         self.bq, self.bk, self.bv = _zeros(d), _zeros(d), _zeros(d)
@@ -119,8 +120,10 @@ def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
 
 
 def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
-                    cfg: TransformerConfig, training: bool = False, rng=None) -> Tensor:
-    """One encoder block over [B, L, D] with a boolean key mask [B, L]."""
+                    rng=None) -> Tensor:
+    """One encoder block over [B, L, D] with a boolean key mask [B, L];
+    dropout runs when an rng is given."""
+    cfg = layer.cfg
     b, length, d = x.data.shape
     h, dk = cfg.num_heads, cfg.head_dim
 
@@ -135,22 +138,22 @@ def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
     probs = ad.softmax_rows(scores, mask=key_mask[:, None, None, :])
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, length, d))
     attn_out = ad.add(ad.matmul(ctx, layer.wo), layer.bo)
-    attn_out = ad.dropout(attn_out, cfg.dropout, training, rng)
+    attn_out = ad.dropout(attn_out, cfg.dropout, rng)
     x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_g, layer.ln1_b)
 
     ff = ad.gelu(ad.add(ad.matmul(x, layer.ff1_w), layer.ff1_b))
     ff = ad.add(ad.matmul(ff, layer.ff2_w), layer.ff2_b)
-    ff = ad.dropout(ff, cfg.dropout, training, rng)
+    ff = ad.dropout(ff, cfg.dropout, rng)
     return ad.layer_norm(ad.add(x, ff), layer.ln2_g, layer.ln2_b)
 
 
 def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
-               cfg: TransformerConfig, training: bool = False, rng=None) -> Tensor:
-    """Full encoder over an id batch [B, L] -> [B, L, D]."""
+               rng=None) -> Tensor:
+    """Full encoder over an id batch [B, L] -> [B, L, D]; dropout runs when
+    an rng is given."""
     x = embed_ids(ids, w)
     for layer in w.layers:
-        x = attention_block(x, np.asarray(mask, dtype=bool), layer, cfg,
-                            training=training, rng=rng)
+        x = attention_block(x, np.asarray(mask, dtype=bool), layer, rng)
     return x
 
 

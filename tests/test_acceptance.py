@@ -26,7 +26,7 @@ from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
 from moldta.training import (TrainRunConfig, encode_affinity_data, finetune,
                              load_warm_start, make_masked_example,
-                             masked_token_loss, pkd_transform, pretrain)
+                             masked_token_eval, pkd_transform, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 from toydata import markov_molecules, random_proteins, synthetic_affinity_records
 
@@ -135,8 +135,7 @@ def test_criterion_3_end_to_end_gradient_integrity():
         targets = np.array([1.3, -0.4])
 
         def loss_fn():
-            pred = model.forward_ids(mol_ids, mol_mask, prot_ids, prot_mask,
-                                     training=False)
+            pred = model.forward_ids(mol_ids, mol_mask, prot_ids, prot_mask)
             return mse_loss(pred, targets)
 
         named = model.named_params()
@@ -165,7 +164,7 @@ def test_criterion_4_attention_invariants():
         mask = np.stack([e.mask for e in encs])
 
         with op_outputs("softmax_rows") as attn:
-            base = mt.encode_ids(ids, mask, w, cfg)
+            base = mt.encode_ids(ids, mask, w)
         for probs in attn:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
             for row in range(ids.shape[0]):
@@ -176,7 +175,7 @@ def test_criterion_4_attention_invariants():
         for row in range(ids.shape[0]):
             pads = np.nonzero(~mask[row])[0]
             tampered[row, pads] = (pads % (len(vocab) - 1)) + 1
-        out = mt.encode_ids(tampered, mask, w, cfg)
+        out = mt.encode_ids(tampered, mask, w)
         for row in range(ids.shape[0]):
             real = mask[row]
             np.testing.assert_array_equal(base.data[row, real], out.data[row, real])
@@ -307,8 +306,8 @@ def test_criterion_7_pretraining_sanity():
             # training loss on the training set under one fixed masking:
             # a deterministic measurement of optimization progress
             if step <= 104:
-                curve.append(masked_token_loss(train_encs, vocab, weights, cfg,
-                                               seed=4321))
+                curve.append(masked_token_eval(train_encs, vocab, weights,
+                                               seed=4321)[0])
 
         result = pretrain(train, vocab, cfg, run, codec_cfg=codec, heldout=heldout,
                           step_monitor=monitor)
@@ -389,8 +388,8 @@ def test_criterion_9_warm_start_bitwise():
         encs = [encode_molecule(s, vocab, codec, True) for s in corpus[:16]]
         ids = np.stack([e.ids for e in encs])
         mask = np.stack([e.mask for e in encs])
-        out_model = mt.encode_ids(ids, mask, model.tw, tcfg)
-        out_reference = mt.encode_ids(ids, mask, reference, tcfg)
+        out_model = mt.encode_ids(ids, mask, model.tw)
+        out_reference = mt.encode_ids(ids, mask, reference)
         assert out_model.data.tobytes() == out_reference.data.tobytes()
 
 

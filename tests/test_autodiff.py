@@ -129,21 +129,21 @@ def test_max_pool_tie_gradient_goes_to_first():
 
 def test_dropout_rate_zero_and_inference_are_identity():
     x = Tensor(RNG.normal(size=(3, 3)))
-    assert ad.dropout(x, 0.0, True, np.random.default_rng(0)) is x
-    assert ad.dropout(x, 0.5, False) is x
+    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+    assert ad.dropout(x, 0.5) is x
 
 
 def test_dropout_bad_rate():
     x = Tensor(np.ones(2))
     for rate in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            ad.dropout(x, rate, True, np.random.default_rng(0))
+            ad.dropout(x, rate, np.random.default_rng(0))
 
 
 def test_dropout_statistics_half_rate():
     n = 1_000_000
     x = Tensor(np.ones(n))
-    out = ad.dropout(x, 0.5, True, np.random.default_rng(7))
+    out = ad.dropout(x, 0.5, np.random.default_rng(7))
     survivors = np.count_nonzero(out.data)
     assert abs(survivors / n - 0.5) < 0.01
     assert abs(out.data.mean() - 1.0) < 0.01  # inverted scaling preserves the mean
@@ -388,7 +388,7 @@ def test_grad_max_pool():
 def test_grad_dropout_fixed_mask():
     def build(t):
         rng = np.random.default_rng(99)  # same mask on every evaluation
-        return ad.reduce_sum(ad.multiply(ad.dropout(t[0], 0.4, True, rng), t[0]))
+        return ad.reduce_sum(ad.multiply(ad.dropout(t[0], 0.4, rng), t[0]))
     check_gradients(build, [RNG.normal(size=(5, 5))])
 
 

@@ -3,8 +3,8 @@
 bench/tracing.py replaces module globals and class attributes by name for
 the length of a traced pass. These tests install its wrappers over the
 imported package and check that every traced entry point still exists,
-that a traced forward pass records the expected spans, and that restore()
-puts every original attribute back.
+that a traced forward pass and a traced training call record the expected
+spans, and that restore() puts every original attribute back.
 """
 
 import importlib
@@ -94,6 +94,40 @@ def test_traced_forward_records_layer_spans(moldta):
     assert {"model.predict", "model.forward_ids", "transformer.encode_ids",
             "transformer.attention_block", "protein_cnn.forward",
             "interaction.predict_affinity_batch", "autodiff.matmul"} <= names
+
+
+def test_traced_finetune_records_dropout_and_backward_spans(moldta):
+    # the benchmark's --trace 1 path on training workloads runs a training
+    # call under install_layers: dropout and backward must stay traceable
+    tracing = load_tracing()
+    codec, training = moldta.codec, moldta.training
+    smiles, prots = ["CCO", "CN=O", "OCC"], ["MKTAYIAKQRQISF", "MTEYKLVVVGAGGV"]
+    mol_vocab = codec.build_vocab(smiles, codec.MOLECULE)
+    prot_vocab = codec.build_vocab(prots, codec.PROTEIN)
+    cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
+    train = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec),
+                                    codec.encode_protein(prots[i % 2], prot_vocab, cfg.codec),
+                                    10.0 + 0.1 * i)
+             for i, s in enumerate(smiles)]
+    run = training.TrainRunConfig(seed=0, batch_size=len(train), epochs=1)
+    before = attribute_snapshot(moldta)
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    try:
+        tracing.install_layers(tracer, patches, moldta)
+        traced = training.finetune(train, train[:2], cfg, run, mol_vocab, prot_vocab)
+    finally:
+        patches.restore()
+    assert_restored(before)
+    plain = training.finetune(train, train[:2], cfg, run, mol_vocab, prot_vocab)
+    assert traced.report_text() == plain.report_text()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("autodiff.backward") == 1
+    assert names.count("training.adam") == 1
+    # two dropouts per attention block and one per dense layer, in the step
+    # and in the dev pass, where dropout returns its input
+    assert names.count("autodiff.dropout") == 2 * (2 * 1 + 1)
+    assert {"model.forward_ids", "transformer.encode_ids", "transformer.attention_block",
+            "interaction.predict_affinity_batch", "interaction.mse_loss"} <= set(names)
 
 
 def test_step_clock_counts_optimizer_steps_and_restores(moldta):

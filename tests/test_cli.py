@@ -247,6 +247,20 @@ def test_pretrain_rejects_unknown_pooling(workspace, capsys):
     assert not (workspace / "pre").exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_config_not_utf8_exits_one(workspace, capsys, command):
+    cfg = workspace / "latin1.txt"
+    cfg.write_bytes(TINY_CONFIG.encode() + b"# caf\xe9 \xff\n")
+    inputs = (["--corpus", str(workspace / "corpus.txt")] if command == "pretrain"
+              else ["--data", str(workspace / "data.tsv")])
+    assert main([command, *inputs, "--out", str(workspace / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read config {cfg}: ")
+    assert "can't decode byte" in err
+    assert not (workspace / "out").exists()
+
+
 def test_bad_config_value_exits_one(workspace, capsys):
     cfg = workspace / "bad.txt"
     cfg.write_text("model.dense_sizes = 7,x\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moldta.codec import (BEGIN, END, MASK, MOLECULE, PAD, PROTEIN, REP,
                           CodecConfig, Vocab, build_vocab, decode,
@@ -9,6 +11,9 @@ from moldta.codec import (BEGIN, END, MASK, MOLECULE, PAD, PROTEIN, REP,
 from moldta.errors import DataError
 
 CFG = CodecConfig()
+ALPHABET = "CNOS()=#123[]+-cl@"
+PROP_MOL_VOCAB = build_vocab([ALPHABET], MOLECULE)
+PROP_PROT_VOCAB = build_vocab(["ACDEFGHIKLMNPQRSTVWY"], PROTEIN)
 
 
 def test_build_vocab_molecule_order():
@@ -203,3 +208,41 @@ def test_tokenize_molecule_stream():
     assert tokenize_molecule("CN=C=O") == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
     stream = tokenize_molecule("C" * 200)
     assert len(stream) == 100 and REP not in stream and BEGIN not in stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=ALPHABET, max_size=60), st.integers(1, 40), st.booleans())
+def test_molecule_encoding_is_the_decorated_payload_or_its_middle_window(payload, cap,
+                                                                          keep_rep):
+    vocab = PROP_MOL_VOCAB
+    enc = encode_molecule(payload, vocab, CodecConfig(mol_max_len=cap), keep_rep)
+    real = int(enc.mask.sum())
+    assert enc.ids.shape == enc.mask.shape == (cap,)
+    assert enc.mask[:real].all() and (enc.ids[real:] == vocab.pad_id).all()
+    kept = decode(enc, vocab)
+    tokens = [vocab.token_of(int(i)) for i in enc.ids[:real]]
+    if len(payload) + 3 <= cap:
+        assert not enc.truncated
+        assert tokens == [REP, BEGIN, *payload, END]
+        assert kept == payload
+        return
+    # a truncated molecule is a contiguous middle window of its payload,
+    # [REP] in front when keep_rep, with no other special token
+    assert enc.truncated
+    head = [REP] if keep_rep else []
+    assert tokens == head + list(kept)
+    assert len(kept) == min(len(payload), cap - len(head))
+    cut = len(payload) - len(kept)    # the head loses cut // 2, the tail the rest
+    assert kept == payload[cut // 2:cut // 2 + len(kept)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ACDEFGHIKLMNPQRSTVWY", max_size=60), st.integers(1, 40))
+def test_protein_encoding_is_the_padded_prefix(fasta, cap):
+    vocab = PROP_PROT_VOCAB
+    enc = encode_protein(fasta, vocab, CodecConfig(prot_max_len=cap))
+    assert enc.ids.shape == (cap,)
+    assert enc.truncated == (len(fasta) > cap)
+    assert decode(enc, vocab) == fasta[:cap]
+    np.testing.assert_array_equal(enc.mask, np.arange(cap) < min(len(fasta), cap))
+    assert (enc.ids[~enc.mask] == vocab.pad_id).all()

@@ -28,14 +28,14 @@ def test_zero_weights_zero_output():
         dense_b.data[:] = 0.0
     w.reg_w.data[:] = 0.0
     w.reg_b.data[:] = 0.0
-    out = predict_affinity_batch(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2))), w, TINY)
+    out = predict_affinity_batch(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2))), w)
     assert float(out.data[0]) == 0.0
 
 
 def test_regression_bias_passthrough_on_zero_input():
     w = InteractionWeights(TINY, 6, np.random.default_rng(0))
     w.reg_b.data[:] = 2.5
-    out = predict_affinity_batch(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))), w, TINY)
+    out = predict_affinity_batch(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))), w)
     # relu(0 @ W + 0) = 0 through the stack, so only the regression bias remains
     assert float(out.data[0]) == 2.5
 
@@ -51,14 +51,14 @@ def test_hand_set_toy_network():
     p = np.array([[-1.5]])
     hidden = np.maximum(np.array([0.5, -1.5]) @ w.dense[0][0].data + w.dense[0][1].data, 0.0)
     expected = float((hidden @ w.reg_w.data + w.reg_b.data)[0])
-    out = predict_affinity_batch(Tensor(m), Tensor(p), w, cfg)
+    out = predict_affinity_batch(Tensor(m), Tensor(p), w)
     assert float(out.data[0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_width_mismatch_errors():
     w = InteractionWeights(TINY, 6, np.random.default_rng(0))
     with pytest.raises(ValueError, match="width"):
-        predict_affinity_batch(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))), w, TINY)
+        predict_affinity_batch(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))), w)
 
 
 def test_batch_forward_matches_singles():
@@ -66,9 +66,9 @@ def test_batch_forward_matches_singles():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(5, 4))
     p = rng.normal(size=(5, 2))
-    batch = predict_affinity_batch(Tensor(m), Tensor(p), w, TINY)
+    batch = predict_affinity_batch(Tensor(m), Tensor(p), w)
     for i in range(5):
-        single = predict_affinity_batch(Tensor(m[i:i + 1]), Tensor(p[i:i + 1]), w, TINY)
+        single = predict_affinity_batch(Tensor(m[i:i + 1]), Tensor(p[i:i + 1]), w)
         assert float(single.data[0]) == pytest.approx(float(batch.data[i]), abs=1e-12)
 
 
@@ -95,8 +95,8 @@ def test_mse_loss_nonnegative_random():
 def test_inference_deterministic():
     w = InteractionWeights(TINY, 6, np.random.default_rng(4))
     m, p = Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2)))
-    a = predict_affinity_batch(m, p, w, TINY, training=False)
-    b = predict_affinity_batch(m, p, w, TINY, training=False)
+    a = predict_affinity_batch(m, p, w)
+    b = predict_affinity_batch(m, p, w)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -109,7 +109,7 @@ def test_gradient_check_through_concat_and_dense_stack():
     targets = rng.normal(size=2)
 
     def loss_fn():
-        pred = predict_affinity_batch(Tensor(m), Tensor(p), w, cfg, training=False)
+        pred = predict_affinity_batch(Tensor(m), Tensor(p), w)
         return mse_loss(pred, targets)
 
     worst = check_param_gradients(loss_fn, w.named())

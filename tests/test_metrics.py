@@ -352,6 +352,18 @@ def test_aupr_matches_sweep_oracle_on_random_instances():
             aupr_oracle(labels.tolist(), scores.tolist()), abs=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=2, max_size=40))
+def test_aupr_matches_sweep_oracle_on_tie_heavy_inputs(pairs):
+    # four distinct scores over up to 40 items: most sweep points are tie groups
+    labels, scores = (list(column) for column in zip(*pairs))
+    if sum(labels) in (0, len(labels)):
+        with pytest.raises(ValueError, match="AUPR undefined"):
+            aupr(labels, scores)
+        return
+    assert aupr(labels, scores) == pytest.approx(aupr_oracle(labels, scores), abs=1e-9)
+
+
 def test_aupr_invariant_under_monotone_transforms():
     rng = np.random.default_rng(31)
     labels = rng.integers(0, 2, size=60)

@@ -63,7 +63,7 @@ def test_model_config_dict_round_trip():
 
 def test_model_config_validation():
     with pytest.raises(ValueError, match="truncation_pooling"):
-        ModelConfig.for_mode("kiba", 10, 10, truncation_pooling="max")
+        ModelConfig.for_mode("kiba", 10, 10, {"model": {"truncation_pooling": "max"}})
     with pytest.raises(ValueError, match="mol_max_len"):
         ModelConfig(codec=CodecConfig(mol_max_len=50),
                     transformer=TransformerConfig(vocab_size=10, max_len=100),

@@ -42,7 +42,7 @@ def test_forward_output_shape_kiba_defaults():
     w = ProteinCnnWeights(cfg, np.random.default_rng(0))
     vocab = build_vocab(["ACDEFGHIKLMNPQRSTVWYX"], PROTEIN)
     seq = encode_protein("ACDEFGHIKLMNPQRSTVWYX" * 3, vocab, CodecConfig())
-    out = protein_forward_ids(seq.ids[None], seq.mask[None], w, cfg)
+    out = protein_forward_ids(seq.ids[None], seq.mask[None], w)
     assert out.data.shape == (1, 96)
 
 
@@ -53,7 +53,7 @@ def test_conv_length_arithmetic_after_first_layer():
     mask = np.zeros((1, 1000), dtype=bool)
     mask[0, :40] = True
     with op_outputs("relu") as collected:
-        protein_forward_ids(ids, mask, w, cfg)
+        protein_forward_ids(ids, mask, w)
     assert collected[0].shape == (1, 989, 32)   # 1000 - 12 + 1
     assert collected[1].shape == (1, 978, 64)
     assert collected[2].shape == (1, 967, 96)
@@ -65,7 +65,7 @@ def test_zero_weights_finite_constant_output():
         f.data[:] = 0.0
     ids = np.arange(20, dtype=np.int64).reshape(1, 20) % 6
     mask = np.ones((1, 20), dtype=bool)
-    out = protein_forward_ids(ids, mask, w, TINY)
+    out = protein_forward_ids(ids, mask, w)
     assert np.isfinite(out.data).all()
     assert (out.data == 0.0).all()  # relu(0) pooled
 
@@ -76,14 +76,14 @@ def test_too_few_real_tokens_errors():
     mask = np.zeros((1, 20), dtype=bool)
     mask[0, :6] = True  # receptive field is 7
     with pytest.raises(ValueError, match="receptive field"):
-        protein_forward_ids(ids, mask, w, TINY)
+        protein_forward_ids(ids, mask, w)
 
 
 def test_padded_length_must_cover_filters():
     w = tiny_weights()
     ids = np.zeros((1, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        protein_forward_ids(ids, np.ones((1, 2), dtype=bool), w, TINY)
+        protein_forward_ids(ids, np.ones((1, 2), dtype=bool), w)
 
 
 def test_output_independent_of_protein_length():
@@ -91,7 +91,7 @@ def test_output_independent_of_protein_length():
     w = tiny_weights()
     for length in (10, 20):
         ids = np.ones((1, length), dtype=np.int64)
-        out = protein_forward_ids(ids, np.ones((1, length), dtype=bool), w, TINY)
+        out = protein_forward_ids(ids, np.ones((1, length), dtype=bool), w)
         assert out.data.shape == (1, 4)
 
 
@@ -109,9 +109,9 @@ def test_locality_distant_permutation_leaves_conv_columns_unchanged():
     swapped[0, i], swapped[0, j] = ids[0, j], ids[0, i]
     mask = np.ones((1, length), dtype=bool)
     with op_outputs("relu") as a_conv:
-        protein_forward_ids(ids, mask, w, TINY)
+        protein_forward_ids(ids, mask, w)
     with op_outputs("relu") as b_conv:
-        protein_forward_ids(swapped, mask, w, TINY)
+        protein_forward_ids(swapped, mask, w)
     last_a, last_b = a_conv[-1], b_conv[-1]
     out_positions = last_a.shape[1]
     for pos in range(out_positions):
@@ -124,8 +124,8 @@ def test_inference_deterministic():
     w = tiny_weights()
     ids = np.arange(15, dtype=np.int64).reshape(1, 15) % 6
     mask = np.ones((1, 15), dtype=bool)
-    a = protein_forward_ids(ids, mask, w, TINY)
-    b = protein_forward_ids(ids, mask, w, TINY)
+    a = protein_forward_ids(ids, mask, w)
+    b = protein_forward_ids(ids, mask, w)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -143,7 +143,7 @@ def test_gradient_check_tiny_config():
     target = np.random.default_rng(5).normal(size=(1, 4))
 
     def loss_fn():
-        out = protein_forward_ids(ids, mask, w, cfg)
+        out = protein_forward_ids(ids, mask, w)
         diff = ad.subtract(out, ad.Tensor(target))
         return ad.reduce_mean(ad.multiply(diff, diff))
 

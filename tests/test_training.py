@@ -16,7 +16,7 @@ from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
 from moldta.training import (AdamOptimizer, TrainRunConfig, encode_affinity_data, finetune,
                              load_warm_start, make_masked_example,
-                             masked_token_accuracy, pkd_transform, pretrain)
+                             masked_token_eval, pkd_transform, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 
 
@@ -268,7 +268,7 @@ def test_untrained_accuracy_near_uniform_baseline():
     cfg = tiny_transformer_cfg(len(vocab))
     weights = TransformerWeights(cfg, np.random.default_rng(0))
     encs = [encode_molecule(s, vocab, CodecConfig(mol_max_len=16)) for s in corpus]
-    acc = masked_token_accuracy(encs, vocab, weights, cfg, seed=5)
+    _, acc = masked_token_eval(encs, vocab, weights, seed=5)
     baseline = 1.0 / vocab.payload_ids().size
     assert acc < 3 * baseline  # untrained stays near random
 
@@ -276,7 +276,7 @@ def test_untrained_accuracy_near_uniform_baseline():
 def test_pretrain_training_loss_decreases_early():
     # training loss measured on the training set under one fixed masking:
     # a deterministic function of the weights, so early descent is clean
-    from moldta.training import masked_token_loss
+    from moldta.training import masked_token_eval
     from toydata import markov_molecules
 
     rng = np.random.default_rng(6)
@@ -289,7 +289,7 @@ def test_pretrain_training_loss_decreases_early():
     curve = []
 
     def monitor(step, weights):
-        curve.append(masked_token_loss(encs, vocab, weights, cfg, seed=4321))
+        curve.append(masked_token_eval(encs, vocab, weights, seed=4321)[0])
 
     run = TrainRunConfig(seed=0, batch_size=128, steps=100, learning_rate=2e-3,
                          warmup_fraction=0.2)
@@ -404,8 +404,8 @@ def test_warm_start_reproduces_pretrained_forward_bitwise():
     pre.checkpoint.restore(reference.named(), "transformer.")
     ids = encoded[0].mol.ids[None]
     mask = encoded[0].mol.mask[None]
-    out_model = mt.encode_ids(ids, mask, model.tw, cfg.transformer)
-    out_reference = mt.encode_ids(ids, mask, reference, cfg.transformer)
+    out_model = mt.encode_ids(ids, mask, model.tw)
+    out_reference = mt.encode_ids(ids, mask, reference)
     assert out_model.data.tobytes() == out_reference.data.tobytes()
 
 

@@ -4,6 +4,8 @@ padding immunity, pooling, and gradient integrity on a tiny config.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capture import op_outputs
 from gradcheck import check_param_gradients
@@ -81,7 +83,7 @@ def test_attention_block_zero_weights_finite():
     for name in ("wq", "wk", "wv", "wo", "ff1_w", "ff2_w"):
         getattr(layer, name).data[:] = 0.0
     x = ad.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
-    out = mt.attention_block(x, np.ones((1, 8), dtype=bool), layer, TINY)
+    out = mt.attention_block(x, np.ones((1, 8), dtype=bool), layer)
     assert np.isfinite(out.data).all()
 
 
@@ -91,7 +93,7 @@ def test_attention_single_unmasked_position_weight_one():
     mask[0, 0] = True
     x = ad.Tensor(np.random.default_rng(2).normal(size=(1, 8, 4)))
     with op_outputs("softmax_rows") as attn:
-        mt.attention_block(x, mask, w.layers[0], TINY)
+        mt.attention_block(x, mask, w.layers[0])
     # every query attends to the single real key with weight exactly 1
     assert (attn[0][:, :, :, 0] == 1.0).all()
     assert (attn[0][:, :, :, 1:] == 0.0).all()
@@ -109,7 +111,7 @@ def test_attention_matches_hand_computation_two_tokens():
     layer.bq.data[:] = 0; layer.bk.data[:] = 0; layer.bv.data[:] = 0
     x = np.array([[0.7, -1.2], [0.4, 2.0]])
     with op_outputs("softmax_rows") as attn:
-        mt.attention_block(ad.Tensor(x[None]), np.ones((1, 2), dtype=bool), layer, cfg)
+        mt.attention_block(ad.Tensor(x[None]), np.ones((1, 2), dtype=bool), layer)
     scores = (x @ wq) @ (x @ wk).T / np.sqrt(2.0)
     expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
     expected /= expected.sum(axis=-1, keepdims=True)
@@ -123,7 +125,7 @@ def test_encode_zero_layers_equals_embed():
     w.layers = []  # degenerate composition: encoder reduces to the embedding
     ids = np.array([[1, 2, 5, 0, 0, 0, 0, 0]])
     mask = np.array([[True, True, True, False, False, False, False, False]])
-    enc = mt.encode_ids(ids, mask, w, cfg)
+    enc = mt.encode_ids(ids, mask, w)
     np.testing.assert_array_equal(enc.data, mt.embed_ids(ids, w).data)
 
 
@@ -132,18 +134,43 @@ def test_encode_output_shape():
     ids = np.zeros((3, 8), dtype=np.int64)
     mask = np.zeros((3, 8), dtype=bool)
     mask[:, :4] = True
-    assert mt.encode_ids(ids, mask, w, TINY).data.shape == (3, 8, 4)
+    assert mt.encode_ids(ids, mask, w).data.shape == (3, 8, 4)
 
 
 def test_encode_invariant_to_pad_id_tampering():
     w = tiny_weights()
     ids = np.array([[1, 6, 7, 8, 0, 0, 0, 0]])
     mask = np.array([[True, True, True, True, False, False, False, False]])
-    base = mt.encode_ids(ids, mask, w, TINY)
+    base = mt.encode_ids(ids, mask, w)
     tampered = ids.copy()
     tampered[0, 4:] = [9, 2, 11, 5]  # garbage ids in masked-out positions
-    out = mt.encode_ids(tampered, mask, w, TINY)
+    out = mt.encode_ids(tampered, mask, w)
     np.testing.assert_array_equal(base.data[0, :4], out.data[0, :4])
+
+
+@st.composite
+def padded_batches(draw):
+    """ids [B, 8] with real prefixes of 1..8 tokens, plus a copy whose
+    padding holds arbitrary vocabulary ids."""
+    rows = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, TINY.max_len), min_size=rows, max_size=rows))
+    token = st.integers(0, TINY.vocab_size - 1)
+    cells = st.lists(token, min_size=TINY.max_len, max_size=TINY.max_len)
+    ids = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)))
+    mask = np.arange(TINY.max_len)[None, :] < np.array(lengths)[:, None]
+    tampered = np.where(mask, ids, np.array(draw(st.lists(cells, min_size=rows,
+                                                          max_size=rows))))
+    return np.where(mask, ids, 0), tampered, mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_batches(), st.integers(0, 3))
+def test_encode_ids_at_real_positions_ignores_pad_contents(batch, seed):
+    ids, tampered, mask = batch
+    w = tiny_weights(seed)
+    base = mt.encode_ids(ids, mask, w)
+    out = mt.encode_ids(tampered, mask, w)
+    np.testing.assert_array_equal(base.data[mask], out.data[mask])
 
 
 def test_attention_rows_sum_to_one_and_pads_get_zero():
@@ -151,7 +178,7 @@ def test_attention_rows_sum_to_one_and_pads_get_zero():
     ids = np.array([[1, 6, 7, 8, 0, 0, 0, 0]])
     mask = np.array([[True, True, True, True, False, False, False, False]])
     with op_outputs("softmax_rows") as attn:
-        mt.encode_ids(ids, mask, w, TINY)
+        mt.encode_ids(ids, mask, w)
     for probs in attn:
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert (probs[..., ~mask[0]] == 0.0).all()
@@ -161,8 +188,8 @@ def test_inference_forward_deterministic():
     w = tiny_weights()
     ids = np.array([[1, 6, 7, 0, 0, 0, 0, 0]])
     mask = ids != 0
-    a = mt.encode_ids(ids, mask, w, TINY, training=False)
-    b = mt.encode_ids(ids, mask, w, TINY, training=False)
+    a = mt.encode_ids(ids, mask, w)
+    b = mt.encode_ids(ids, mask, w)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -170,8 +197,8 @@ def test_training_dropout_changes_output():
     w = tiny_weights()
     ids = np.array([[1, 6, 7, 0, 0, 0, 0, 0]])
     mask = ids != 0
-    a = mt.encode_ids(ids, mask, w, TINY, training=True, rng=np.random.default_rng(1))
-    b = mt.encode_ids(ids, mask, w, TINY, training=True, rng=np.random.default_rng(2))
+    a = mt.encode_ids(ids, mask, w, rng=np.random.default_rng(1))
+    b = mt.encode_ids(ids, mask, w, rng=np.random.default_rng(2))
     assert not np.array_equal(a.data, b.data)
 
 
@@ -188,7 +215,7 @@ def test_pool_rep_default_width_is_128():
     ids[0, :3] = [1, 2, 3]
     mask = np.zeros((1, 100), dtype=bool)
     mask[0, :3] = True
-    enc = mt.encode_ids(ids, mask, w, cfg)
+    enc = mt.encode_ids(ids, mask, w)
     assert mt.pool_rep_batch(enc).data.shape == (1, 128)
     assert cfg.head_dim == 16
 
@@ -226,7 +253,7 @@ def test_end_to_end_gradient_check_tiny():
     target = np.random.default_rng(10).normal(size=(1, 8, 4))
 
     def loss_fn():
-        enc = mt.encode_ids(ids, mask, w, TINY, training=False)
+        enc = mt.encode_ids(ids, mask, w)
         diff = ad.subtract(enc, ad.Tensor(target))
         return ad.reduce_mean(ad.multiply(diff, diff))
 
