@@ -2,19 +2,25 @@
 
 Tensors wrap contiguous row-major numpy buffers (float64 by default).
 Every operation on a tensor that requires grad records its parents and a
-backward closure; backward() replays the tape in reverse topological order
-and accumulates gradients additively, so fan-out (a tensor used twice) sums
-both contributions. It frees the tape as it goes: each op output drops its
+backward closure. A closure is the op's vector-Jacobian product alone: given
+the gradient of its output, it returns one gradient per parent, in parent
+order, each in the output's broadcast shape. backward() replays the tape in
+reverse topological order and is the only code that accumulates: it sums
+each returned gradient down to its parent's shape and adds it into every
+parent that requires grad, so fan-out (a tensor used twice) sums both
+contributions. It frees the tape as it goes: each op output drops its
 gradient, closure and parents once its closure has run, so a graph can be
 differentiated once; leaf gradients accumulate across separate graphs.
-Inside no_grad() ops record no tape at all. No operation mutates its inputs.
+Inside no_grad() ops record no tape at all.
+
+No operation mutates its inputs, and no code writes into a gradient array:
+accumulation is out of place, so a tensor takes over the first gradient it
+receives without copying it, even when another tensor holds the same array.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
-import struct
 
 import numpy as np
 from scipy.special import erf
@@ -50,7 +56,7 @@ class Tensor:
 
     def _accumulate(self, grad):
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(grad, dtype=self.data.dtype)
         else:
             self.grad = self.grad + grad
 
@@ -146,7 +152,9 @@ def backward(loss):
         if node._backward is None:
             continue
         if node.grad is not None:
-            node._backward(node.grad)
+            for parent, grad in zip(node._parents, node._backward(node.grad)):
+                if parent.requires_grad:
+                    parent._accumulate(_unbroadcast(grad, parent.data.shape))
         node.grad = None
         node._backward = None
         node._parents = ()
@@ -159,41 +167,23 @@ def backward(loss):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad, b.data.shape))
-    return _result(data, (a, b), backward_fn, "add")
+    return _result(data, (a, b), lambda grad: (grad, grad), "add")
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-grad, b.data.shape))
-    return _result(data, (a, b), backward_fn, "subtract")
+    return _result(data, (a, b), lambda grad: (grad, -grad), "subtract")
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
-    return _result(data, (a, b), backward_fn, "multiply")
+    return _result(data, (a, b), lambda grad: (grad * b.data, grad * a.data), "multiply")
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     data = a.data * factor
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(grad * factor)
-    return _result(data, (a,), backward_fn, "scale")
+    return _result(data, (a,), lambda grad: (grad * factor,), "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -204,12 +194,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     data = np.matmul(a.data, b.data)
     def backward_fn(grad):
-        if a.requires_grad:
-            ga = np.matmul(grad, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), grad)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        return (np.matmul(grad, b.data.swapaxes(-1, -2)),
+                np.matmul(a.data.swapaxes(-1, -2), grad))
     return _result(data, (a, b), backward_fn, "matmul")
 
 
@@ -217,19 +203,13 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
     inv = tuple(np.argsort(perm))
     data = np.transpose(a.data, perm)
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(np.transpose(grad, inv))
-    return _result(data, (a,), backward_fn, "transpose")
+    return _result(data, (a,), lambda grad: (np.transpose(grad, inv),), "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(grad.reshape(a.data.shape))
-    return _result(data, (a,), backward_fn, "reshape")
+    return _result(data, (a,), lambda grad: (grad.reshape(a.data.shape),), "reshape")
 
 
 def concat(tensors, axis=-1) -> Tensor:
@@ -237,12 +217,8 @@ def concat(tensors, axis=-1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
-    def backward_fn(grad):
-        pieces = np.split(grad, offsets, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
-    return _result(data, tuple(tensors), backward_fn, "concat")
+    return _result(data, tuple(tensors), lambda grad: np.split(grad, offsets, axis=axis),
+                   "concat")
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -256,10 +232,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding id {bad} out of range [0, {n})")
     data = table.data[ids]
     def backward_fn(grad):
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids.reshape(-1), grad.reshape(-1, table.data.shape[1]))
-            table._accumulate(g)
+        g = np.zeros_like(table.data)
+        np.add.at(g, ids.reshape(-1), grad.reshape(-1, table.data.shape[1]))
+        return (g,)
     return _result(data, (table,), backward_fn, "embedding_lookup")
 
 
@@ -267,21 +242,19 @@ def take_index(a: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along an axis, dropping that axis."""
     data = np.take(a.data, index, axis=axis)
     def backward_fn(grad):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            sl = [slice(None)] * a.ndim
-            sl[axis] = index
-            g[tuple(sl)] = grad
-            a._accumulate(g)
+        g = np.zeros_like(a.data)
+        sl = [slice(None)] * a.ndim
+        sl[axis] = index
+        g[tuple(sl)] = grad
+        return (g,)
     return _result(data, (a,), backward_fn, "take_index")
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
     def backward_fn(grad):
-        if a.requires_grad:
-            g = grad if axis is None else np.expand_dims(grad, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        g = grad if axis is None else np.expand_dims(grad, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
     return _result(data, (a,), backward_fn, "reduce_sum")
 
 
@@ -289,9 +262,8 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
     data = a.data.mean(axis=axis)
     def backward_fn(grad):
-        if a.requires_grad:
-            g = grad / count if axis is None else np.expand_dims(grad / count, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        g = grad / count if axis is None else np.expand_dims(grad / count, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
     return _result(data, (a,), backward_fn, "reduce_mean")
 
 
@@ -301,10 +273,7 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (a.data > 0))
-    return _result(data, (a,), backward_fn, "relu")
+    return _result(data, (a,), lambda grad: (grad * (a.data > 0),), "relu")
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -312,9 +281,8 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
     data = a.data * cdf
     def backward_fn(grad):
-        if a.requires_grad:
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-            a._accumulate(grad * (cdf + a.data * pdf))
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
+        return (grad * (cdf + a.data * pdf),)
     return _result(data, (a,), backward_fn, "gelu")
 
 
@@ -337,9 +305,8 @@ def softmax_rows(a: Tensor, mask=None) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
     def backward_fn(grad):
-        if a.requires_grad:
-            inner = (grad * data).sum(axis=-1, keepdims=True)
-            a._accumulate(data * (grad - inner))
+        inner = (grad * data).sum(axis=-1, keepdims=True)
+        return (data * (grad - inner),)
     return _result(data, (a,), backward_fn, "softmax_rows")
 
 
@@ -353,14 +320,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     data = xhat * gain.data + bias.data
     def backward_fn(grad):
         dxhat = grad * gain.data
-        if a.requires_grad:
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv_std * (dxhat - m1 - xhat * m2))
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(grad * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(grad, bias.data.shape))
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv_std * (dxhat - m1 - xhat * m2), grad * xhat, grad
     return _result(data, (a, gain, bias), backward_fn, "layer_norm")
 
 
@@ -374,10 +336,7 @@ def dropout(a: Tensor, rate: float, rng=None) -> Tensor:
     keep = rng.random(a.data.shape) >= rate
     factor = 1.0 / (1.0 - rate)
     data = a.data * keep * factor
-    def backward_fn(grad):
-        if a.requires_grad:
-            a._accumulate(grad * keep * factor)
-    return _result(data, (a,), backward_fn, "dropout")
+    return _result(data, (a,), lambda grad: (grad * keep * factor,), "dropout")
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +354,11 @@ def unfold_windows(a: Tensor, size: int) -> Tensor:
         a.data.shape[:-2] + (length - size + 1, size * width))
     out_len = length - size + 1
     def backward_fn(grad):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            gw = grad.reshape(grad.shape[:-1] + (size, width))
-            for j in range(size):
-                g[..., j:j + out_len, :] += gw[..., :, j, :]
-            a._accumulate(g)
+        g = np.zeros_like(a.data)
+        gw = grad.reshape(grad.shape[:-1] + (size, width))
+        for j in range(size):
+            g[..., j:j + out_len, :] += gw[..., :, j, :]
+        return (g,)
     return _result(data, (a,), backward_fn, "unfold_windows")
 
 
@@ -424,10 +382,9 @@ def max_pool_over_length(a: Tensor) -> Tensor:
     idx = a.data.argmax(axis=-2)
     data = np.take_along_axis(a.data, np.expand_dims(idx, -2), axis=-2).squeeze(-2)
     def backward_fn(grad):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(grad, -2), axis=-2)
-            a._accumulate(g)
+        g = np.zeros_like(a.data)
+        np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(grad, -2), axis=-2)
+        return (g,)
     return _result(data, (a,), backward_fn, "max_pool_over_length")
 
 
@@ -448,36 +405,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     picked = logits.data[np.arange(n), labels]
     data = np.asarray((lse - picked).mean())
     def backward_fn(grad):
-        if logits.requires_grad:
-            p = np.exp(shifted)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(n), labels] -= 1.0
-            logits._accumulate(grad * p / n)
+        p = np.exp(shifted)
+        p /= p.sum(axis=-1, keepdims=True)
+        p[np.arange(n), labels] -= 1.0
+        return (grad * p / n,)
     return _result(data, (logits,), backward_fn, "softmax_cross_entropy")
 
-
-# ---------------------------------------------------------------------------
-# serialization: rank + dims as little-endian int64, then little-endian float64
-# ---------------------------------------------------------------------------
-
-def tensor_to_bytes(t) -> bytes:
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-    arr = np.asarray(arr, dtype="<f8")  # tobytes() emits C order regardless of layout
-    header = struct.pack("<q", arr.ndim) + struct.pack(f"<{arr.ndim}q", *arr.shape)
-    return header + arr.tobytes()
-
-
-def tensor_from_bytes(buf, offset: int = 0):
-    """Parse one serialized tensor; returns (array, next_offset)."""
-    (rank,) = struct.unpack_from("<q", buf, offset)
-    offset += 8
-    if rank < 0:
-        raise ValueError("corrupt tensor header: negative rank")
-    dims = struct.unpack_from(f"<{rank}q", buf, offset)
-    offset += 8 * rank
-    count = math.prod(dims)
-    if any(d < 0 for d in dims) or offset + 8 * count > len(buf):
-        raise ValueError(f"corrupt tensor header: dims {dims} do not fit the buffer")
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
-    offset += 8 * count
-    return arr.astype(np.float64), offset

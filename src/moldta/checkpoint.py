@@ -2,22 +2,45 @@
 
 Binary layout, all integers little-endian unsigned 64-bit:
 magic | meta_len | meta (UTF-8 JSON, sorted keys) | tensor_count | records,
-each record being name_len | name (UTF-8) | tensor bytes in the shared
-rank/dims/float64 format. Round trips are bitwise exact.
+each record being name_len | name (UTF-8) | tensor bytes. A tensor is its
+rank and dims as little-endian signed 64-bit integers, then its values as
+little-endian float64 in C order. Round trips are bitwise exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
-from .autodiff import tensor_from_bytes, tensor_to_bytes
 from .errors import DataError
 
 MAGIC = b"MDTC0001"
+
+
+def tensor_to_bytes(arr) -> bytes:
+    arr = np.asarray(arr, dtype="<f8")  # tobytes() emits C order regardless of layout
+    header = struct.pack("<q", arr.ndim) + struct.pack(f"<{arr.ndim}q", *arr.shape)
+    return header + arr.tobytes()
+
+
+def tensor_from_bytes(buf, offset: int = 0):
+    """Parse one serialized tensor; returns (array, next_offset)."""
+    (rank,) = struct.unpack_from("<q", buf, offset)
+    offset += 8
+    if rank < 0:
+        raise ValueError("corrupt tensor header: negative rank")
+    dims = struct.unpack_from(f"<{rank}q", buf, offset)
+    offset += 8 * rank
+    count = math.prod(dims)
+    if any(d < 0 for d in dims) or offset + 8 * count > len(buf):
+        raise ValueError(f"corrupt tensor header: dims {dims} do not fit the buffer")
+    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
+    offset += 8 * count
+    return arr.astype(np.float64), offset
 
 
 class Checkpoint:

@@ -20,6 +20,7 @@ from .codec import (MASK, CodecConfig, EncodedSequence, Vocab, encode_molecule,
                     encode_protein, stack_sequences)
 from .errors import NumericalError
 from .interaction import mse_loss
+from .metrics import mse
 from .model import DtiModel, ModelConfig
 from .transformer import TransformerConfig, TransformerWeights
 
@@ -184,23 +185,32 @@ def _masked_lm_logits(inputs, masks, labels, w, rng=None):
     return mt.lm_logits(picked, w), truths
 
 
-EVAL_CHUNK = 64  # molecules per forward pass in masked_token_eval
+EVAL_CHUNK = 64  # molecules per batch, so per forward pass in masked_token_eval
 
 
-def masked_token_eval(encs, vocab, w: TransformerWeights, seed: int) -> tuple[float, float]:
-    """(cross-entropy, accuracy) over one fixed-seed masking of a sequence set.
+def masked_eval_batches(encs, vocab, seed: int) -> list:
+    """One fixed-seed masking of a sequence set, as batches of EVAL_CHUNK
+    molecules for masked_token_eval.
 
-    The masks depend only on the seed and the sequences, so across calls this
-    measures the same corrupted inputs: a deterministic function of the
-    weights, suitable for monitoring training progress. Accuracy is the
-    fraction of masked positions whose argmax logit is the original token.
+    The masks depend only on the seed and the sequences, so a set masked once
+    can be scored after every step as the same corrupted inputs.
     """
     rng = np.random.default_rng(seed)
+    return [_masked_batch(encs[start:start + EVAL_CHUNK], vocab, rng)
+            for start in range(0, len(encs), EVAL_CHUNK)]
+
+
+def masked_token_eval(batches, w: TransformerWeights) -> tuple[float, float]:
+    """(cross-entropy, accuracy) of the weights on masked_eval_batches output.
+
+    A deterministic function of the weights, suitable for monitoring training
+    progress. Accuracy is the fraction of masked positions whose argmax logit
+    is the original token.
+    """
     loss_sum = 0.0
     correct = total = 0
     with ad.no_grad():
-        for start in range(0, len(encs), EVAL_CHUNK):
-            inputs, masks, labels = _masked_batch(encs[start:start + EVAL_CHUNK], vocab, rng)
+        for inputs, masks, labels in batches:
             logits, truths = _masked_lm_logits(inputs, masks, labels, w)
             loss_sum += float(ad.softmax_cross_entropy(logits, truths).data) * truths.size
             correct += int((logits.data.argmax(axis=-1) == truths).sum())
@@ -272,7 +282,8 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
         heldout_encs = [encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated)
                         for s in heldout if s]
         if heldout_encs:
-            _, accuracy = masked_token_eval(heldout_encs, vocab, weights, seed=run.seed + 1)
+            batches = masked_eval_batches(heldout_encs, vocab, seed=run.seed + 1)
+            _, accuracy = masked_token_eval(batches, weights)
     return PretrainResult(checkpoint=snapshot(run.steps), losses=losses,
                           heldout_accuracy=accuracy,
                           payload_baseline=1.0 / vocab.payload_ids().size)
@@ -344,13 +355,6 @@ class FinetuneResult:
         return "\n".join(lines) + "\n"
 
 
-def _dev_mse(model: DtiModel, dev) -> float:
-    preds = model.predict([r.mol for r in dev], [r.prot for r in dev])
-    targets = np.array([r.affinity for r in dev])
-    d = preds - targets
-    return float(np.mean(d * d))
-
-
 def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
              mol_vocab: Vocab, prot_vocab: Vocab,
              warm_start: Checkpoint | None = None, log=None) -> FinetuneResult:
@@ -391,7 +395,8 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
             step += 1
             optimizer.step(run.learning_rate * min(1.0, step / warmup_steps))
             epoch_losses.append(float(loss.data))
-        dev_mse = _dev_mse(model, dev)
+        dev_mse = mse(np.array([r.affinity for r in dev]),
+                      model.predict([r.mol for r in dev], [r.prot for r in dev]))
         entry = {"epoch": epoch, "train_mse": float(np.mean(epoch_losses)),
                  "dev_mse": dev_mse}
         history.append(entry)

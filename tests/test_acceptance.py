@@ -25,7 +25,7 @@ from moldta.metrics import aupr, binarize, concordance_index, rm2_index
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
 from moldta.training import (TrainRunConfig, encode_affinity_data, finetune,
-                             load_warm_start, make_masked_example,
+                             load_warm_start, make_masked_example, masked_eval_batches,
                              masked_token_eval, pkd_transform, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 from toydata import markov_molecules, random_proteins, synthetic_affinity_records
@@ -301,13 +301,13 @@ def test_criterion_7_pretraining_sanity():
 
         train_encs = [encode_molecule(s, vocab, codec, True) for s in train]
         curve = []
+        batches = masked_eval_batches(train_encs, vocab, seed=4321)
 
         def monitor(step, weights):
             # training loss on the training set under one fixed masking:
             # a deterministic measurement of optimization progress
             if step <= 104:
-                curve.append(masked_token_eval(train_encs, vocab, weights,
-                                               seed=4321)[0])
+                curve.append(masked_token_eval(batches, weights)[0])
 
         result = pretrain(train, vocab, cfg, run, codec_cfg=codec, heldout=heldout,
                           step_monitor=monitor)

@@ -209,6 +209,44 @@ def test_graph_trace_is_topologically_ordered():
 
 
 # ---------------------------------------------------------------------------
+# closure contract: backward alone accumulates, out of place
+# ---------------------------------------------------------------------------
+
+CONSTANT_PARENT_CASES = {
+    "add": (lambda t, c: ad.add(t[0], c), [(3, 4)], (4,)),
+    "add_left": (lambda t, c: ad.add(c, t[0]), [(3, 4)], (3, 4)),
+    "subtract": (lambda t, c: ad.subtract(t[0], c), [(3, 4)], (3, 4)),
+    "subtract_left": (lambda t, c: ad.subtract(c, t[0]), [(3, 4)], (4,)),
+    "multiply": (lambda t, c: ad.multiply(t[0], c), [(3, 4)], (4,)),
+    "multiply_left": (lambda t, c: ad.multiply(c, t[0]), [(3, 4)], (3, 4)),
+    "matmul": (lambda t, c: ad.matmul(t[0], c), [(2, 3, 4)], (4, 5)),
+    "matmul_left": (lambda t, c: ad.matmul(c, t[0]), [(4, 5)], (2, 3, 4)),
+    "concat": (lambda t, c: ad.concat([c, t[0]], axis=-1), [(3, 2)], (3, 4)),
+    "layer_norm_input": (lambda t, c: ad.layer_norm(c, t[0], t[1]), [(6,), (6,)], (2, 6)),
+    "layer_norm_affine": (lambda t, c: ad.layer_norm(t[0], c, Tensor(np.ones(6))),
+                          [(2, 6)], (6,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_PARENT_CASES))
+def test_constant_parent_gets_no_gradient(case):
+    op, shapes, const_shape = CONSTANT_PARENT_CASES[case]
+    const = Tensor(RNG.normal(size=const_shape))
+    check_gradients(lambda t: ad.reduce_sum(ad.gelu(op(t, const))),
+                    [RNG.normal(size=shape) for shape in shapes])
+    assert const.grad is None
+
+
+def test_gradients_are_never_written_in_place():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    ad.backward(ad.reduce_sum(ad.add(p, q)))
+    ad.backward(ad.reduce_sum(ad.scale(p, 3.0)))
+    np.testing.assert_array_equal(p.grad, [4.0, 4.0])
+    np.testing.assert_array_equal(q.grad, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
 # tape lifetime: released by backward, never recorded under no_grad
 # ---------------------------------------------------------------------------
 
@@ -433,25 +471,3 @@ def test_grad_fan_out_matches_fd():
                          ad.reduce_mean(ad.gelu(t[0]))),
         [RNG.normal(size=(3, 3))])
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_tensor_bytes_round_trip_exact():
-    for shape in [(), (3,), (2, 3), (2, 3, 4)]:
-        arr = RNG.normal(size=shape)
-        blob = ad.tensor_to_bytes(arr)
-        back, offset = ad.tensor_from_bytes(blob)
-        assert offset == len(blob)
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
-
-
-def test_tensor_bytes_layout_little_endian():
-    blob = ad.tensor_to_bytes(np.array([[1.0, 2.0]]))
-    # rank 2, dims 1 and 2, then two doubles
-    assert blob[:8] == (2).to_bytes(8, "little")
-    assert blob[8:16] == (1).to_bytes(8, "little")
-    assert blob[16:24] == (2).to_bytes(8, "little")
-    assert np.frombuffer(blob[24:], dtype="<f8").tolist() == [1.0, 2.0]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from moldta.checkpoint import Checkpoint
+from moldta.checkpoint import Checkpoint, tensor_from_bytes, tensor_to_bytes
 from moldta.errors import DataError
+
+RNG = np.random.default_rng(20260810)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -111,3 +113,26 @@ def test_restore_overwrites_named_tensors_under_prefix():
         ckpt.restore({"w": Tensor(np.zeros((2, 2))), "gone": Tensor(np.zeros(1))}, "enc.")
     with pytest.raises(ValueError, match="shape mismatch for enc.w"):
         ckpt.restore({"w": Tensor(np.zeros(3))}, "enc.")
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+def test_tensor_bytes_round_trip_exact():
+    for shape in [(), (3,), (2, 3), (2, 3, 4)]:
+        arr = RNG.normal(size=shape)
+        blob = tensor_to_bytes(arr)
+        back, offset = tensor_from_bytes(blob)
+        assert offset == len(blob)
+        assert back.shape == arr.shape
+        assert np.array_equal(back, arr)
+
+
+def test_tensor_bytes_layout_little_endian():
+    blob = tensor_to_bytes(np.array([[1.0, 2.0]]))
+    # rank 2, dims 1 and 2, then two doubles
+    assert blob[:8] == (2).to_bytes(8, "little")
+    assert blob[8:16] == (1).to_bytes(8, "little")
+    assert blob[16:24] == (2).to_bytes(8, "little")
+    assert np.frombuffer(blob[24:], dtype="<f8").tolist() == [1.0, 2.0]

@@ -15,7 +15,7 @@ from moldta.interaction import InteractionConfig
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
 from moldta.training import (AdamOptimizer, TrainRunConfig, encode_affinity_data, finetune,
-                             load_warm_start, make_masked_example,
+                             load_warm_start, make_masked_example, masked_eval_batches,
                              masked_token_eval, pkd_transform, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 
@@ -268,7 +268,7 @@ def test_untrained_accuracy_near_uniform_baseline():
     cfg = tiny_transformer_cfg(len(vocab))
     weights = TransformerWeights(cfg, np.random.default_rng(0))
     encs = [encode_molecule(s, vocab, CodecConfig(mol_max_len=16)) for s in corpus]
-    _, acc = masked_token_eval(encs, vocab, weights, seed=5)
+    _, acc = masked_token_eval(masked_eval_batches(encs, vocab, seed=5), weights)
     baseline = 1.0 / vocab.payload_ids().size
     assert acc < 3 * baseline  # untrained stays near random
 
@@ -287,9 +287,10 @@ def test_pretrain_training_loss_decreases_early():
     codec = CodecConfig(mol_max_len=36)
     encs = [encode_molecule(s, vocab, codec, True) for s in corpus]
     curve = []
+    batches = masked_eval_batches(encs, vocab, seed=4321)
 
     def monitor(step, weights):
-        curve.append(masked_token_eval(encs, vocab, weights, seed=4321)[0])
+        curve.append(masked_token_eval(batches, weights)[0])
 
     run = TrainRunConfig(seed=0, batch_size=128, steps=100, learning_rate=2e-3,
                          warmup_fraction=0.2)
