@@ -221,15 +221,20 @@ def concat(tensors, axis=-1) -> Tensor:
                    "concat")
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a [N, D] table; backward scatter-adds into the table."""
+def _checked_ids(ids, n: int) -> np.ndarray:
+    """ids as an integer array whose every entry indexes an n-row table."""
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ValueError("embedding ids must be integers")
-    n = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise ValueError(f"embedding id {bad} out of range [0, {n})")
+    return ids
+
+
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Gather rows of a [N, D] table; backward scatter-adds into the table."""
+    ids = _checked_ids(ids, table.data.shape[0])
     data = table.data[ids]
     def backward_fn(grad):
         g = np.zeros_like(table.data)
@@ -373,6 +378,45 @@ def conv1d(x: Tensor, filters: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = add(out, bias)
     return out
+
+
+def embedding_conv1d(table: Tensor, ids, filters: Tensor, bias: Tensor | None = None) -> Tensor:
+    """conv1d(embedding_lookup(table, ids), filters, bias) without the lookup
+    or its windows: ids [..., L] -> [..., L-s+1, m].
+
+    table @ filters gives one [V, m] table per filter offset j, and output
+    row t sums tables[j][ids[..., t+j]] over j. The backward scatter-adds the
+    output gradient into each offset's table through a one-hot GEMM, then
+    maps those table gradients back through filters and table.
+    """
+    ids = _checked_ids(ids, table.data.shape[0])
+    s, d, m = filters.data.shape
+    if table.data.shape[1] != d:
+        raise ValueError(f"conv1d channel mismatch: input {ids.shape + (table.data.shape[1],)} "
+                         f"vs filters {filters.data.shape}")
+    length = ids.shape[-1]
+    if length < s:
+        raise ValueError(f"window size {s} exceeds sequence length {length}")
+    out_len = length - s + 1
+    tables = np.matmul(table.data, filters.data)  # [s, V, m]
+    data = tables[0][ids[..., :out_len]]
+    for j in range(1, s):
+        data += tables[j][ids[..., j:j + out_len]]
+    if bias is not None:
+        data += bias.data
+    def backward_fn(grad):
+        flat = grad.reshape(-1, m)
+        dtables = np.empty(tables.shape, dtype=grad.dtype)
+        rows = np.arange(flat.shape[0])
+        for j in range(s):
+            onehot = np.zeros((flat.shape[0], tables.shape[1]), dtype=grad.dtype)
+            onehot[rows, ids[..., j:j + out_len].reshape(-1)] = 1.0
+            dtables[j] = onehot.T @ flat
+        d_table = np.matmul(dtables, filters.data.swapaxes(-1, -2)).sum(axis=0)
+        d_filters = np.matmul(table.data.T, dtables)
+        return (d_table, d_filters) if bias is None else (d_table, d_filters, grad)
+    parents = (table, filters) if bias is None else (table, filters, bias)
+    return _result(data, parents, backward_fn, "embedding_conv1d")
 
 
 def max_pool_over_length(a: Tensor) -> Tensor:

@@ -75,7 +75,7 @@ def load_config(path) -> dict:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    out = {}
+    out, first_line = {}, {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -86,6 +86,10 @@ def load_config(path) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path} line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise UsageError(f"{path} line {lineno}: config key {key!r} "
+                             f"already set on line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 

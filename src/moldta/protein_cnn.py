@@ -1,8 +1,12 @@
 """Protein tower: embedding lookup, three stacked valid 1-D convolutions
 with ReLU, and max pooling over the sequence axis.
 
-Padding positions participate in the convolutions with the [PAD] embedding;
-salience selection happens at the max-pooling stage.
+The lookup and the first convolution run as one op, embedding_conv1d, which
+never builds the embedded sequence or its windows; the later convolutions
+use conv1d. Padding positions participate in every convolution: at layer 0
+a [PAD] id selects the [PAD] row of each per-offset table (pte @ filter),
+exactly as the [PAD] embedding would enter an explicit lookup. Salience
+selection happens at the max-pooling stage, which sees padded positions too.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights)
         raise ValueError(
             f"protein with {int(real.min())} real tokens is shorter than the "
             f"receptive field {rf}")
-    x = ad.embedding_lookup(w.pte, ids)
-    for f, b in zip(w.filters, w.biases):
+    x = ad.relu(ad.embedding_conv1d(w.pte, ids, w.filters[0], w.biases[0]))
+    for f, b in zip(w.filters[1:], w.biases[1:]):
         x = ad.relu(ad.conv1d(x, f, b))
     return ad.max_pool_over_length(x)

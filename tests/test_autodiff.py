@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 from moldta import autodiff as ad
@@ -167,6 +169,57 @@ def test_embedding_lookup_out_of_range():
     table = Tensor(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="out of range"):
         ad.embedding_lookup(table, np.array([4]))
+
+
+def composed_embedding_conv1d(table, ids, filters, bias=None):
+    return ad.conv1d(ad.embedding_lookup(table, ids), filters, bias)
+
+
+def test_embedding_conv1d_matches_lookup_then_conv1d():
+    table, filters, bias = (Tensor(RNG.normal(size=shape)) for shape in ((5, 4), (3, 4, 6), (6,)))
+    ids = np.array([[0, 3, 4, 1, 0, 0, 0], [2, 2, 0, 4, 1, 3, 0]])  # id 0 is [PAD]
+    for b in (bias, None):
+        fused = ad.embedding_conv1d(table, ids, filters, b)
+        composed = composed_embedding_conv1d(table, ids, filters, b)
+        assert fused.data.shape == composed.data.shape == (2, 5, 6)
+        np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+
+
+@st.composite
+def embedding_conv_cases(draw):
+    s, d, m, vocab = (draw(st.integers(1, hi)) for hi in (6, 5, 4, 5))
+    length = draw(st.integers(s, s + 6))
+    ids = draw(st.lists(st.integers(0, vocab - 1), min_size=2 * length, max_size=2 * length))
+    return s, d, m, vocab, np.array(ids).reshape(2, length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedding_conv_cases(), st.integers(0, 2 ** 32 - 1))
+def test_embedding_conv1d_agrees_with_the_composed_ops(case, seed):
+    s, d, m, vocab, ids = case
+    rng = np.random.default_rng(seed)
+    table, filters, bias = (Tensor(rng.normal(size=shape))
+                            for shape in ((vocab, d), (s, d, m), (m,)))
+    fused = ad.embedding_conv1d(table, ids, filters, bias)
+    composed = composed_embedding_conv1d(table, ids, filters, bias)
+    assert fused.data.shape == (2, ids.shape[1] - s + 1, m)
+    np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ids, table_width, filter_shape", [
+    (np.array([[0.0, 1.0, 2.0]]), 3, (2, 3, 2)),       # non-integer ids
+    (np.array([[0, 1, 5]]), 3, (2, 3, 2)),             # id past the table
+    (np.array([[0, -1, 2]]), 3, (2, 3, 2)),            # negative id
+    (np.array([[0, 1, 2]]), 3, (2, 4, 2)),             # channel mismatch
+    (np.array([[0, 1, 2]]), 3, (4, 3, 2)),             # window longer than the sequence
+])
+def test_embedding_conv1d_rejects_what_the_composed_ops_reject(ids, table_width, filter_shape):
+    table, filters = Tensor(np.ones((4, table_width))), Tensor(np.ones(filter_shape))
+    with pytest.raises(ValueError) as composed:
+        composed_embedding_conv1d(table, ids, filters)
+    with pytest.raises(ValueError) as fused:
+        ad.embedding_conv1d(table, ids, filters)
+    assert str(fused.value) == str(composed.value)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +509,16 @@ def test_grad_embedding_lookup():
     ids = np.array([[0, 2], [2, 1]])
     check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.embedding_lookup(t[0], ids))),
                     [RNG.normal(size=(3, 4))])
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_grad_embedding_conv1d(with_bias):
+    ids = np.array([[1, 0, 3, 2, 0, 0], [3, 3, 1, 0, 2, 1]])  # id 0 is [PAD]
+    arrays = [RNG.normal(size=(4, 3)), RNG.normal(size=(3, 3, 2))]
+    if with_bias:
+        arrays.append(RNG.normal(size=(2,)))
+    check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.embedding_conv1d(t[0], ids, *t[1:]))),
+                    arrays)
 
 
 def test_grad_softmax_cross_entropy():

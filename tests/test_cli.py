@@ -33,6 +33,15 @@ train.log_interval = 10
 """
 
 
+def tiny_config_with(lines: str) -> str:
+    """TINY_CONFIG with every key that `lines` sets moved to the end with its
+    new value, so each key appears once."""
+    keys = {line.split("=", 1)[0].strip() for line in lines.splitlines()}
+    kept = [line for line in TINY_CONFIG.splitlines()
+            if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + lines
+
+
 @pytest.fixture
 def workspace(tmp_path):
     (tmp_path / "config.txt").write_text(TINY_CONFIG)
@@ -205,7 +214,7 @@ def test_warm_start_without_codec_exits_two(workspace, capsys):
 ])
 def test_config_value_failing_validation_exits_one(workspace, capsys, command, lines, message):
     cfg = workspace / "invalid.txt"
-    cfg.write_text(TINY_CONFIG + lines)    # a later line overrides an earlier one
+    cfg.write_text(tiny_config_with(lines))
     inputs = (["--corpus", str(workspace / "corpus.txt")] if command == "pretrain"
               else ["--data", str(workspace / "data.tsv")])
     assert main([command, *inputs, "--out", str(workspace / "out"),
@@ -258,6 +267,20 @@ def test_config_not_utf8_exits_one(workspace, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot read config {cfg}: ")
     assert "can't decode byte" in err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_repeated_config_key_exits_one(workspace, capsys, command):
+    cfg = workspace / "twice.txt"
+    cfg.write_text(TINY_CONFIG + "model.mol_max_len = 8\n")  # line 6 sets it first
+    inputs = (["--corpus", str(workspace / "corpus.txt")] if command == "pretrain"
+              else ["--data", str(workspace / "data.tsv")])
+    assert main([command, *inputs, "--out", str(workspace / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    last = len(TINY_CONFIG.splitlines()) + 1
+    assert f"line {last}: config key 'model.mol_max_len' already set on line 6" in err
     assert not (workspace / "out").exists()
 
 
@@ -317,7 +340,7 @@ def test_rank_target_file_fasta_format(workspace, capsys):
 
 def test_numerical_blowup_exits_three(workspace, capsys):
     cfg = workspace / "blowup.txt"
-    cfg.write_text(TINY_CONFIG + "train.learning_rate = 1e150\n")
+    cfg.write_text(tiny_config_with("train.learning_rate = 1e150\n"))
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
                      "--out", str(workspace / "boom"), "--config", str(cfg)])

@@ -159,3 +159,46 @@ def test_weight_shapes_chain():
     assert w.filters[1].data.shape == (12, 32, 64)
     assert w.filters[2].data.shape == (12, 64, 96)
     assert pc.receptive_field(cfg) == 34
+
+
+def test_first_layer_is_folded_into_the_embedding():
+    # layer 0 runs as embedding_conv1d, so only the later layers unfold windows
+    cfg = ProteinCnnConfig(vocab_size=6, embed_dim=5, filter_lengths=(3, 2, 3),
+                           filter_counts=(4, 6, 3))
+    w = ProteinCnnWeights(cfg, np.random.default_rng(1))
+    ids = np.random.default_rng(2).integers(1, 6, size=(2, 16))
+    unfold = ad.unfold_windows
+    widths = []
+
+    def recording(a, size):
+        widths.append(a.data.shape[-1])
+        return unfold(a, size)
+
+    ad.unfold_windows = recording
+    try:
+        protein_forward_ids(ids, np.ones((2, 16), dtype=bool), w)
+    finally:
+        ad.unfold_windows = unfold
+    assert len(widths) == len(w.filters) - 1
+    assert cfg.embed_dim not in widths
+    assert widths == list(cfg.filter_counts[:-1])
+
+
+def test_forward_matches_lookup_then_conv1d_stack_on_padded_rows():
+    cfg = ProteinCnnConfig(vocab_size=7, embed_dim=6, filter_lengths=(4, 3, 3),
+                           filter_counts=(5, 4, 3))
+    w = ProteinCnnWeights(cfg, np.random.default_rng(6))
+    for b in w.biases:
+        b.data = np.random.default_rng(7).normal(scale=0.3, size=b.data.shape)
+    lengths = [30, 17, 12]
+    ids = np.zeros((3, 30), dtype=np.int64)  # 0 is [PAD]
+    rng = np.random.default_rng(8)
+    for row, n in enumerate(lengths):
+        ids[row, :n] = rng.integers(1, 7, size=n)
+    mask = ids != 0
+    x = ad.embedding_lookup(w.pte, ids)
+    for f, b in zip(w.filters, w.biases):
+        x = ad.relu(ad.conv1d(x, f, b))
+    composed = ad.max_pool_over_length(x)
+    out = protein_forward_ids(ids, mask, w)
+    np.testing.assert_allclose(out.data, composed.data, rtol=0, atol=1e-12)
