@@ -47,6 +47,9 @@ def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ())
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split("\t")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"{path}: header repeats columns {repeated}")
     known = set(required) | set(optional)
     missing = [c for c in required if c not in header]
     if missing:

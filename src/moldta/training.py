@@ -31,42 +31,44 @@ RANDOM_BRANCH_RATE = 0.1    # of selected: replaced by a random payload token
 
 @dataclass
 class MaskedExample:
-    """Corrupted input ids plus (original_token_id, position) labels."""
+    """Corrupted id batch [B, L] plus labels [N, 3]: one (row, position,
+    original id) per selected position, in row-major order."""
 
     input_ids: np.ndarray
-    labels: list[tuple[int, int]]
+    labels: np.ndarray
 
 
-def make_masked_example(seq: EncodedSequence, vocab: Vocab, rng) -> MaskedExample:
-    """Corrupt a molecule sequence for masked-token prediction.
+def make_masked_example(ids: np.ndarray, vocab: Vocab, rng) -> MaskedExample:
+    """Corrupt a molecule id batch [B, L] for masked-token prediction.
 
     Every payload (non-special, non-padding) position is independently
     selected with probability 0.15; a selected token becomes [MASK] with
     probability 0.8, a uniformly random payload token with probability 0.1,
-    and stays unchanged otherwise. At least one position is always selected.
-    Special tokens are never selected and never used as replacements.
+    and stays unchanged otherwise. A row with nothing selected gets one
+    position picked uniformly among its payload. Special tokens are never
+    selected and never used as replacements.
     """
-    ids = seq.ids.copy()
-    special = np.fromiter(vocab.special_ids(), dtype=np.int64)
-    payload_mask = seq.mask & ~np.isin(ids, special)
-    payload_positions = np.nonzero(payload_mask)[0]
-    if payload_positions.size == 0:
-        raise ValueError("sequence has no payload tokens to mask")
-    selected = rng.random(payload_positions.size) < MASK_SELECT_RATE
-    if not selected.any():
-        selected[rng.integers(payload_positions.size)] = True
-    payload_vocab = vocab.payload_ids()
-    mask_id = vocab.id_of(MASK)
-    labels = []
-    for pos in payload_positions[selected]:
-        original = int(ids[pos])
-        branch = rng.random()
-        if branch < MASK_BRANCH_RATE:
-            ids[pos] = mask_id
-        elif branch < MASK_BRANCH_RATE + RANDOM_BRANCH_RATE:
-            ids[pos] = int(payload_vocab[rng.integers(payload_vocab.size)])
-        labels.append((original, int(pos)))
-    return MaskedExample(input_ids=ids, labels=labels)
+    # specials take the first ids ([PAD] is 0), so payload is every id past them
+    n_special = len(vocab.specials)
+    payload = ids >= n_special
+    counts = payload.sum(axis=1)
+    if not counts.all():
+        raise ValueError("a sequence in the batch has no payload tokens to mask")
+    selected = payload & (rng.random(ids.shape) < MASK_SELECT_RATE)
+    empty = np.flatnonzero(~selected.any(axis=1))
+    if empty.size:
+        pick = rng.integers(counts[empty])
+        # column of each empty row's pick-th payload position
+        cols = (np.cumsum(payload[empty], axis=1) <= pick[:, None]).sum(axis=1)
+        selected[empty, cols] = True
+    branch = rng.random(ids.shape)
+    to_mask = selected & (branch < MASK_BRANCH_RATE)
+    replace = selected & ~to_mask & (branch < MASK_BRANCH_RATE + RANDOM_BRANCH_RATE)
+    out = ids.copy()
+    out[to_mask] = vocab.id_of(MASK)
+    out[replace] = rng.integers(n_special, len(vocab), size=int(replace.sum()))
+    rows, cols = np.nonzero(selected)
+    return MaskedExample(input_ids=out, labels=np.stack([rows, cols, ids[rows, cols]], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +164,12 @@ def pkd_transform(kd_nanomolar: float) -> float:
 # pretraining
 # ---------------------------------------------------------------------------
 
-def _masked_batch(encs, vocab, rng):
-    """Stack masked examples into (inputs, masks, flat label arrays)."""
-    examples = [make_masked_example(e, vocab, rng) for e in encs]
-    inputs = np.stack([ex.input_ids for ex in examples])
-    masks = np.stack([e.mask for e in encs])
-    rows, positions, truths = [], [], []
-    for i, ex in enumerate(examples):
-        for true_id, pos in ex.labels:
-            rows.append(i)
-            positions.append(pos)
-            truths.append(true_id)
-    return inputs, masks, (np.array(rows), np.array(positions), np.array(truths))
-
-
-def _masked_lm_logits(inputs, masks, labels, w, rng=None):
-    rows, positions, truths = labels
-    b, length = inputs.shape
-    enc = mt.encode_ids(inputs, masks, w, rng)
+def _masked_lm_logits(example: MaskedExample, w, rng=None):
+    """LM logits at the labelled positions, and the original ids there."""
+    rows, positions, truths = example.labels.T
+    b, length = example.input_ids.shape
+    # [PAD] is id 0 and the masker never writes it, so it marks the padding
+    enc = mt.encode_ids(example.input_ids, example.input_ids != 0, w, rng)
     flat = ad.reshape(enc, (b * length, w.cfg.hidden))
     picked = ad.embedding_lookup(flat, rows * length + positions)
     return mt.lm_logits(picked, w), truths
@@ -189,15 +179,16 @@ EVAL_CHUNK = 64  # molecules per batch, so per forward pass in masked_token_eval
 
 
 def masked_eval_batches(encs, vocab, seed: int) -> list:
-    """One fixed-seed masking of a sequence set, as batches of EVAL_CHUNK
-    molecules for masked_token_eval.
+    """One fixed-seed masking of a sequence set, as MaskedExample batches of
+    EVAL_CHUNK molecules for masked_token_eval.
 
     The masks depend only on the seed and the sequences, so a set masked once
     can be scored after every step as the same corrupted inputs.
     """
     rng = np.random.default_rng(seed)
-    return [_masked_batch(encs[start:start + EVAL_CHUNK], vocab, rng)
-            for start in range(0, len(encs), EVAL_CHUNK)]
+    ids = np.stack([e.ids for e in encs])
+    return [make_masked_example(ids[start:start + EVAL_CHUNK], vocab, rng)
+            for start in range(0, len(ids), EVAL_CHUNK)]
 
 
 def masked_token_eval(batches, w: TransformerWeights) -> tuple[float, float]:
@@ -210,8 +201,8 @@ def masked_token_eval(batches, w: TransformerWeights) -> tuple[float, float]:
     loss_sum = 0.0
     correct = total = 0
     with ad.no_grad():
-        for inputs, masks, labels in batches:
-            logits, truths = _masked_lm_logits(inputs, masks, labels, w)
+        for example in batches:
+            logits, truths = _masked_lm_logits(example, w)
             loss_sum += float(ad.softmax_cross_entropy(logits, truths).data) * truths.size
             correct += int((logits.data.argmax(axis=-1) == truths).sum())
             total += truths.size
@@ -240,9 +231,9 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
     codec_cfg = codec_cfg or CodecConfig(mol_max_len=transformer_cfg.max_len)
     if codec_cfg.mol_max_len != transformer_cfg.max_len:
         raise ValueError("codec mol_max_len must equal transformer max_len")
-    encs = [encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated)
-            for s in corpus if s]
-    if not encs:
+    corpus_ids = np.array([encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated).ids
+                           for s in corpus if s])
+    if not len(corpus_ids):
         raise ValueError("pretraining corpus has no non-empty molecules")
     rng = np.random.default_rng(run.seed)
     weights = TransformerWeights(transformer_cfg, rng)
@@ -259,10 +250,10 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
                                               for n, t in weights.named().items()})
 
     for step in range(1, run.steps + 1):
-        idx = rng.integers(0, len(encs), size=min(run.batch_size, len(encs)))
-        inputs, masks, labels = _masked_batch([encs[i] for i in idx], vocab, rng)
+        idx = rng.integers(0, len(corpus_ids), size=min(run.batch_size, len(corpus_ids)))
+        example = make_masked_example(corpus_ids[idx], vocab, rng)
         try:
-            logits, truths = _masked_lm_logits(inputs, masks, labels, weights, rng)
+            logits, truths = _masked_lm_logits(example, weights, rng)
             loss = ad.softmax_cross_entropy(logits, truths)
         except NumericalError as exc:
             raise NumericalError(f"pretraining step {step}: {exc}") from exc

@@ -152,8 +152,9 @@ def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
     """Full encoder over an id batch [B, L] -> [B, L, D]; dropout runs when
     an rng is given."""
     x = embed_ids(ids, w)
+    mask = np.asarray(mask, dtype=bool)
     for layer in w.layers:
-        x = attention_block(x, np.asarray(mask, dtype=bool), layer, rng)
+        x = attention_block(x, mask, layer, rng)
     return x
 
 

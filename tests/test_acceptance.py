@@ -68,30 +68,24 @@ def test_criterion_2_masking_statistics():
         corpus = ["".join(rng.choice(alphabet, size=payload_len)) for _ in range(200)]
         vocab = build_vocab(corpus, MOLECULE)
         cfg = CodecConfig(mol_max_len=payload_len + 4)
-        encs = [encode_molecule(s, vocab, cfg) for s in corpus]
-        special = vocab.special_ids()
+        ids = np.stack([encode_molecule(s, vocab, cfg).ids for s in corpus])
+        special = np.array(sorted(vocab.special_ids()))
         mask_id = vocab.id_of("[MASK]")
 
         payload_total = 0
         selected = masked = replaced = kept = 0
-        i = 0
         while payload_total < 1_000_000:
-            seq = encs[i % len(encs)]
-            i += 1
-            example = make_masked_example(seq, vocab, rng)
-            payload_total += payload_len
-            for true_id, pos in example.labels:
-                assert true_id not in special, "selected a special token"
-                selected += 1
-                new_id = int(example.input_ids[pos])
-                assert new_id == mask_id or new_id not in special, \
-                    "a special token was used as a replacement"
-                if new_id == mask_id:
-                    masked += 1
-                elif new_id != true_id:
-                    replaced += 1
-                else:
-                    kept += 1
+            example = make_masked_example(ids, vocab, rng)
+            payload_total += payload_len * len(ids)
+            rows, positions, true_ids = example.labels.T
+            assert not np.isin(true_ids, special).any(), "selected a special token"
+            selected += true_ids.size
+            new_ids = example.input_ids[rows, positions]
+            assert not np.isin(new_ids, special[special != mask_id]).any(), \
+                "a special token was used as a replacement"
+            masked += int((new_ids == mask_id).sum())
+            replaced += int(((new_ids != mask_id) & (new_ids != true_ids)).sum())
+            kept += int(((new_ids != mask_id) & (new_ids == true_ids)).sum())
         assert payload_total >= 1_000_000
         assert abs(selected / payload_total - 0.15) < 0.002
         assert abs(masked / selected - 0.80) < 0.005

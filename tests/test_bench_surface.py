@@ -130,6 +130,46 @@ def test_traced_finetune_records_dropout_and_backward_spans(moldta):
             "interaction.predict_affinity_batch", "interaction.mse_loss"} <= set(names)
 
 
+def test_traced_pretrain_masks_once_per_batch_and_counts_labels(moldta):
+    # the benchmark's --trace 1 path on pretrain-tiny: one masking span per
+    # step and one per held-out chunk, each adding its labels to the count
+    tracing = load_tracing()
+    codec, training = moldta.codec, moldta.training
+    corpus = ["CCO", "CN=C=O", "OCC", "NCC", "C(=O)O", "CCNC", "OC=O", "CNC"]
+    heldout = corpus * 9
+    vocab = codec.build_vocab(corpus, codec.MOLECULE)
+    cfg = moldta.transformer.TransformerConfig(vocab_size=len(vocab), num_layers=1,
+                                               num_heads=2, hidden=8, intermediate=12,
+                                               max_len=12)
+    run = training.TrainRunConfig(seed=3, batch_size=4, steps=3)
+    masker = training.make_masked_example
+    produced = []
+
+    def counting_masker(*args):
+        out = masker(*args)
+        produced.append(len(out.labels))
+        return out
+
+    before = attribute_snapshot(moldta)
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    try:
+        patches.set(training, "make_masked_example", counting_masker)
+        tracing.install_layers(tracer, patches, moldta)
+        traced = training.pretrain(corpus, vocab, cfg, run, heldout=heldout)
+    finally:
+        patches.restore()
+    assert_restored(before)
+    plain = training.pretrain(corpus, vocab, cfg, run, heldout=heldout)
+    assert traced.losses == plain.losses
+    assert traced.heldout_accuracy == plain.heldout_accuracy
+    chunks = math.ceil(len(heldout) / training.EVAL_CHUNK)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("training.make_masked_example") == run.steps + chunks == len(produced)
+    counted = sum(value for (_, key), value in tracer.counts.items()
+                  if key == "training.masked_positions")
+    assert counted == sum(produced) > 0
+
+
 def test_step_clock_counts_optimizer_steps_and_restores(moldta):
     # the benchmark's setup_s and unit_ms_p50 come from StepClock, which
     # marks set-up and step ends on AdamOptimizer.__init__ and .step

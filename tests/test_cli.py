@@ -315,6 +315,14 @@ def test_evaluate_predictions_file_perfect(workspace, capsys):
     assert "ci = 1.0" in out
 
 
+def test_evaluate_predictions_header_repeating_a_column_exits_two(workspace, capsys):
+    preds = workspace / "preds.tsv"
+    preds.write_text("affinity\tprediction\taffinity\n1.0\t1.5\t9.0\n2.0\t2.5\t8.0\n")
+    assert main(["evaluate", "--predictions", str(preds), "--mode", "kiba"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "repeats columns ['affinity']" in err
+
+
 def test_evaluate_requires_exactly_one_source(workspace, capsys):
     assert main(["evaluate", "--mode", "kiba"]) == 1
     assert main(["evaluate", "--predictions", "x", "--checkpoint", "y"]) == 1

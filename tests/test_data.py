@@ -70,6 +70,18 @@ def test_load_missing_column(tmp_path):
         load_affinity_dataset(path)
 
 
+@pytest.mark.parametrize("header, row, load", [
+    ("affinity\tprediction\taffinity", "1.0\t1.5\t9.0", load_predictions),
+    ("smiles\tfasta\taffinity\tsmiles", f"CCO\t{PROT}\t5.0\tCCN", load_affinity_dataset),
+    ("id\tname\tsmiles\tname", "11\tEthanol\tCCO\tMethanol", load_candidates),
+], ids=["predictions", "affinity", "candidates"])
+def test_load_header_repeating_a_column(tmp_path, header, row, load):
+    path = write(tmp_path, "table.tsv", f"{header}\n{row}\n")
+    repeated = header.split("\t")[-1]
+    with pytest.raises(DataError, match=rf"repeats columns \['{repeated}'\]"):
+        load(path)
+
+
 def test_load_ragged_row(tmp_path):
     path = write(tmp_path, "data.tsv",
                  "smiles\tfasta\taffinity\n"

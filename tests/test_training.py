@@ -21,19 +21,31 @@ from moldta.transformer import TransformerConfig, TransformerWeights
 
 
 class ScriptedRng:
-    """Plays back pre-programmed draws for random() and integers()."""
+    """Plays back pre-programmed draws for random() and integers().
+
+    Each random(size) call returns the next scripted array, which must have
+    that shape. Each integers() call is recorded in integer_calls; like
+    numpy's, a draw of size 0 is empty and uses no scripted entry.
+    """
 
     def __init__(self, randoms, integers=()):
         self._randoms = list(randoms)
         self._integers = list(integers)
+        self.integer_calls = []
 
-    def random(self, size=None):
-        if size is None:
-            return self._randoms.pop(0)
-        return np.array([self._randoms.pop(0) for _ in range(int(size))])
+    def random(self, size):
+        draw = np.asarray(self._randoms.pop(0), dtype=float)
+        assert draw.shape == tuple(size)
+        return draw
 
-    def integers(self, n):
-        return self._integers.pop(0)
+    def integers(self, low, high=None, size=None):
+        self.integer_calls.append((low, high, size))
+        if size == 0:
+            return np.zeros(0, dtype=np.int64)
+        return np.asarray(self._integers.pop(0))
+
+    def exhausted(self):
+        return not self._randoms and not self._integers
 
 
 @dataclass
@@ -47,55 +59,173 @@ class Rec:
 # masking
 # ---------------------------------------------------------------------------
 
-def test_masking_forced_position_and_mask_branch():
+def cn_c_o_batch():
+    """Vocab and the one-row id batch of CN=C=O at length 16: payload at 2..7."""
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    seq = encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16))
-    # payload positions are 2..7; select only the 4th (position 5, a 'C'),
-    # then take the [MASK] branch
-    rng = ScriptedRng(randoms=[0.9, 0.9, 0.9, 0.0, 0.9, 0.9, 0.0])
-    example = make_masked_example(seq, vocab, rng)
-    assert example.labels == [(vocab.id_of("C"), 5)]
-    assert example.input_ids[5] == vocab.id_of(MASK)
-    expect = seq.ids.copy()
-    expect[5] = vocab.id_of(MASK)
+    return vocab, encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16)).ids[None]
+
+
+def draws(fill, at=(), shape=(1, 16)):
+    """A scripted uniform draw: fill everywhere, 0.0 at the given columns of row 0."""
+    out = np.full(shape, fill)
+    out[0, list(at)] = 0.0
+    return out
+
+
+def test_masking_forced_position_and_mask_branch():
+    vocab, ids = cn_c_o_batch()
+    # select only position 5 (a 'C'); every branch draw says [MASK], so any
+    # other selected position would show as a second change
+    rng = ScriptedRng(randoms=[draws(0.9, at=[5]), draws(0.0)])
+    example = make_masked_example(ids, vocab, rng)
+    assert rng.exhausted()
+    np.testing.assert_array_equal(example.labels, [[0, 5, vocab.id_of("C")]])
+    expect = ids.copy()
+    expect[0, 5] = vocab.id_of(MASK)
     np.testing.assert_array_equal(example.input_ids, expect)
 
 
 def test_masking_random_replacement_branch():
-    vocab = build_vocab(["CN=C=O"], MOLECULE)
-    seq = encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16))
+    vocab, ids = cn_c_o_batch()
     # select position 2, take the random-replacement branch (0.8 <= r < 0.9),
-    # and draw payload token index 3 ('O' in sorted payload '=','C','N','O')
-    rng = ScriptedRng(randoms=[0.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.85], integers=[3])
-    example = make_masked_example(seq, vocab, rng)
-    assert example.labels == [(vocab.id_of("C"), 2)]
-    assert example.input_ids[2] == vocab.id_of("O")
+    # and draw 'O' from the payload ids [len(specials), len(vocab))
+    rng = ScriptedRng(randoms=[draws(0.9, at=[2]), draws(0.85)],
+                      integers=[[vocab.id_of("O")]])
+    example = make_masked_example(ids, vocab, rng)
+    assert rng.exhausted()
+    assert rng.integer_calls == [(len(vocab.specials), len(vocab), 1)]
+    np.testing.assert_array_equal(example.labels, [[0, 2, vocab.id_of("C")]])
+    expect = ids.copy()
+    expect[0, 2] = vocab.id_of("O")
+    np.testing.assert_array_equal(example.input_ids, expect)
 
 
 def test_masking_keep_branch_leaves_token():
-    vocab = build_vocab(["CN=C=O"], MOLECULE)
-    seq = encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16))
-    rng = ScriptedRng(randoms=[0.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.95])
-    example = make_masked_example(seq, vocab, rng)
-    assert example.labels == [(vocab.id_of("C"), 2)]
-    np.testing.assert_array_equal(example.input_ids, seq.ids)
+    vocab, ids = cn_c_o_batch()
+    rng = ScriptedRng(randoms=[draws(0.9, at=[2]), draws(0.95)])
+    example = make_masked_example(ids, vocab, rng)
+    assert rng.exhausted()
+    np.testing.assert_array_equal(example.labels, [[0, 2, vocab.id_of("C")]])
+    np.testing.assert_array_equal(example.input_ids, ids)
 
 
 def test_masking_guaranteed_one_fallback():
-    vocab = build_vocab(["CN=C=O"], MOLECULE)
-    seq = encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16))
-    # nothing selected by the Bernoulli draws; fallback picks payload index 1
-    rng = ScriptedRng(randoms=[0.9] * 6 + [0.0], integers=[1])
-    example = make_masked_example(seq, vocab, rng)
-    assert example.labels == [(vocab.id_of("N"), 3)]
-    assert example.input_ids[3] == vocab.id_of(MASK)
+    vocab, ids = cn_c_o_batch()
+    # nothing selected by the Bernoulli draws; the fallback draws index 1 of
+    # the row's 6 payload positions (position 3, an 'N'), then takes [MASK]
+    rng = ScriptedRng(randoms=[draws(0.9), draws(0.0)], integers=[[1]])
+    example = make_masked_example(ids, vocab, rng)
+    assert rng.exhausted()
+    high = rng.integer_calls[0][0]
+    np.testing.assert_array_equal(high, [6])
+    np.testing.assert_array_equal(example.labels, [[0, 3, vocab.id_of("N")]])
+    expect = ids.copy()
+    expect[0, 3] = vocab.id_of(MASK)
+    np.testing.assert_array_equal(example.input_ids, expect)
 
 
 def test_masking_requires_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     seq = encode_molecule("", vocab, CodecConfig(mol_max_len=16))
     with pytest.raises(ValueError, match="payload"):
-        make_masked_example(seq, vocab, np.random.default_rng(0))
+        make_masked_example(seq.ids[None], vocab, np.random.default_rng(0))
+    # one row without payload fails the whole batch
+    vocab, ids = mixed_batch()
+    empty = encode_molecule("", vocab, CodecConfig(mol_max_len=10)).ids
+    with pytest.raises(ValueError, match="payload"):
+        make_masked_example(np.vstack([ids[:3], empty, ids[3:]]), vocab,
+                            np.random.default_rng(0))
+
+
+MIXED = ["CN=C=O", "C", "CCO", "N", "O", "C(=O)NC(C)C", "C", "CC"]
+ONE_CHARACTER_ROWS = [1, 3, 4, 6]
+
+
+def mixed_batch():
+    """Rows of different lengths at cap 10: one-character molecules, padding,
+    and a truncated row that keeps [REP] but loses [BEGIN] and [END]."""
+    vocab = build_vocab(MIXED, MOLECULE)
+    cfg = CodecConfig(mol_max_len=10)
+    return vocab, np.stack([encode_molecule(s, vocab, cfg, True).ids for s in MIXED])
+
+
+def test_masking_batch_of_mixed_lengths_selects_payload_once_per_row_at_least():
+    vocab, ids = mixed_batch()
+    payload = ids >= len(vocab.specials)
+    np.testing.assert_array_equal(payload[5], np.arange(10) > 0)  # truncated: [REP], payload
+    for seed in range(20):
+        example = make_masked_example(ids, vocab, np.random.default_rng(seed))
+        rows, positions, truths = example.labels.T
+        order = np.lexsort((positions, rows))
+        np.testing.assert_array_equal(order, np.arange(len(rows)))  # row-major
+        assert set(rows.tolist()) == set(range(len(MIXED)))
+        assert payload[rows, positions].all()
+        np.testing.assert_array_equal(truths, ids[rows, positions])
+        # a one-character row is selected only by the fallback 85% of the
+        # time, and then always at its one payload position
+        for row in ONE_CHARACTER_ROWS:
+            np.testing.assert_array_equal(example.labels[rows == row],
+                                          [[row, 2, ids[row, 2]]])
+        selected = np.zeros(ids.shape, dtype=bool)
+        selected[rows, positions] = True
+        np.testing.assert_array_equal(example.input_ids[~selected], ids[~selected])
+
+
+def test_masking_never_selects_or_writes_special_or_padding_positions():
+    vocab, ids = mixed_batch()
+    payload = ids >= len(vocab.specials)
+    n_payload = int(payload.sum())
+    # every selection draw selects and every branch draw replaces, so only
+    # the payload rule keeps [PAD], [REP], [BEGIN] and [END] untouched
+    replacements = np.full(n_payload, vocab.id_of("N"))
+    rng = ScriptedRng(randoms=[np.zeros(ids.shape), np.full(ids.shape, 0.85)],
+                      integers=[replacements])
+    example = make_masked_example(ids, vocab, rng)
+    assert rng.exhausted()
+    assert rng.integer_calls == [(len(vocab.specials), len(vocab), n_payload)]
+    np.testing.assert_array_equal(example.labels[:, :2], np.argwhere(payload))
+    np.testing.assert_array_equal(example.input_ids[~payload], ids[~payload])
+    assert (example.input_ids[payload] == vocab.id_of("N")).all()
+
+
+class NothingSelected:
+    """A generator whose selection draw selects nothing, so every row takes
+    the fallback; later draws come from a seeded numpy generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return np.ones(size) if self.calls == 1 else self.rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_masking_fallback_is_uniform_over_each_rows_payload():
+    vocab = build_vocab(["CN=C=O"], MOLECULE)
+    cfg = CodecConfig(mol_max_len=10)
+    rows = np.stack([encode_molecule(s, vocab, cfg).ids for s in ("CCO", "CN=C=O")])
+    ids = np.tile(rows, (3000, 1))
+    example = make_masked_example(ids, vocab, NothingSelected(5))
+    rows, positions, _ = example.labels.T
+    np.testing.assert_array_equal(rows, np.arange(len(ids)))
+    for parity, span in ((0, range(2, 5)), (1, range(2, 8))):
+        picked = positions[rows % 2 == parity]
+        assert set(picked.tolist()) == set(span)
+        shares = np.bincount(picked, minlength=span.stop)[span.start:] / picked.size
+        assert np.abs(shares - 1 / len(span)).max() < 0.03
+
+
+def test_masking_same_seed_same_example():
+    vocab, ids = mixed_batch()
+    first, second = (make_masked_example(ids, vocab, np.random.default_rng(11))
+                     for _ in range(2))
+    assert first.input_ids.tobytes() == second.input_ids.tobytes()
+    assert first.labels.tobytes() == second.labels.tobytes()
+    np.testing.assert_array_equal(ids, mixed_batch()[1])  # input left alone
 
 
 def test_masking_statistics_and_special_token_immunity():
@@ -106,8 +236,8 @@ def test_masking_statistics_and_special_token_immunity():
     corpus = ["".join(rng.choice(alphabet, size=50)) for _ in range(60)]
     vocab = build_vocab(corpus, MOLECULE)
     cfg = CodecConfig(mol_max_len=60)
-    encs = [encode_molecule(s, vocab, cfg) for s in corpus]
-    special = vocab.special_ids()
+    ids = np.stack([encode_molecule(s, vocab, cfg).ids for s in corpus])
+    special = np.array(sorted(vocab.special_ids()))
     mask_id = vocab.id_of(MASK)
 
     payload_total = 0
@@ -115,24 +245,19 @@ def test_masking_statistics_and_special_token_immunity():
     masked = 0
     replaced = 0
     kept = 0
-    draws = 0
     while payload_total < 100_000:
-        seq = encs[draws % len(encs)]
-        draws += 1
-        example = make_masked_example(seq, vocab, rng)
-        payload_total += 50
-        for true_id, pos in example.labels:
-            assert true_id not in special
-            assert 2 <= pos < 52  # inside the decorated payload span
-            selected += 1
-            new_id = int(example.input_ids[pos])
-            assert new_id not in (special - {mask_id})
-            if new_id == mask_id:
-                masked += 1
-            elif new_id != true_id:
-                replaced += 1
-            else:
-                kept += 1
+        example = make_masked_example(ids, vocab, rng)
+        payload_total += 50 * len(ids)
+        rows, positions, true_ids = example.labels.T
+        assert not np.isin(true_ids, special).any()
+        assert ((2 <= positions) & (positions < 52)).all()  # inside the payload span
+        selected += true_ids.size
+        new_ids = example.input_ids[rows, positions]
+        assert not np.isin(new_ids, special[special != mask_id]).any()
+        masked += int((new_ids == mask_id).sum())
+        replaced += int(((new_ids != mask_id) & (new_ids != true_ids)).sum())
+        kept += int(((new_ids != mask_id) & (new_ids == true_ids)).sum())
+    assert payload_total >= 100_000
     assert abs(selected / payload_total - 0.15) < 0.004
     assert abs(masked / selected - 0.80) < 0.01
     assert abs(replaced / selected - 0.10) < 0.01
