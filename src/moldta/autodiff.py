@@ -291,24 +291,19 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward_fn, "gelu")
 
 
-def softmax_rows(a: Tensor, mask=None) -> Tensor:
-    """Softmax over the last axis; masked entries (mask False) come out exactly 0.
+def softmax_rows(a: Tensor, bias=None) -> Tensor:
+    """Softmax of a + bias over the last axis; bias is a constant that
+    broadcasts to a, and a -inf bias entry comes out exactly 0.
 
-    Numerically stabilized by row-max subtraction. A fully-masked row is an
-    error since its distribution would be undefined.
+    Numerically stabilized by row-max subtraction. A row with no finite
+    entry comes out non-finite, which the op's finiteness scan reports.
     """
     if a.data.shape[-1] < 1:
         raise ValueError("softmax over an empty axis")
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-        if not mask.any(axis=-1).all():
-            raise ValueError("softmax_rows: fully-masked row")
-        logits = np.where(mask, a.data, -np.inf)
-    else:
-        logits = a.data
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = a.data.copy() if bias is None else a.data + bias
+    data -= data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
     def backward_fn(grad):
         inner = (grad * data).sum(axis=-1, keepdims=True)
         return (data * (grad - inner),)

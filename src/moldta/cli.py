@@ -129,7 +129,7 @@ def _read_lines(path) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -211,7 +211,7 @@ def cmd_finetune(args) -> int:
     warm = Checkpoint.load(args.warm_start) if args.warm_start else None
     if warm is not None:
         check_pretrain_kind(warm)
-        sections["codec"]["mol_max_len"] = warm.require("codec", "mol_max_len")
+        sections["codec"].setdefault("mol_max_len", warm.require("codec", "mol_max_len"))
         mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(warm.require("mol_vocab")))
     else:
         mol_vocab = build_vocab((r.smiles for r in records), MOLECULE)

@@ -18,6 +18,7 @@ MOLECULE = "molecule"
 PROTEIN = "protein"
 
 PAD = "[PAD]"
+PAD_ID = 0  # every vocabulary starts with [PAD]; ids != PAD_ID are the real tokens
 REP = "[REP]"
 BEGIN = "[BEGIN]"
 END = "[END]"
@@ -55,7 +56,7 @@ class Vocab:
 
     @property
     def pad_id(self):
-        return 0
+        return PAD_ID
 
     def id_of(self, token: str) -> int:
         return self.index[token]
@@ -80,8 +81,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = tuple(line.rstrip("\n") for line in fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                tokens = tuple(line.rstrip("\n") for line in fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
         if not tokens:
             raise DataError(f"empty vocab file {path}")
         kind = MOLECULE if tuple(tokens[: len(MOL_SPECIALS)]) == MOL_SPECIALS else PROTEIN
@@ -100,17 +104,10 @@ class CodecConfig:
 
 @dataclass
 class EncodedSequence:
-    """Fixed-length id sequence; mask is True at real (non-padding) positions."""
+    """Fixed-length id sequence; positions holding PAD_ID are padding."""
 
     ids: np.ndarray
-    mask: np.ndarray
     truncated: bool
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.ids.shape != self.mask.shape:
-            raise ValueError("ids and mask lengths differ")
 
 
 def build_vocab(corpus, kind: str) -> Vocab:
@@ -129,16 +126,15 @@ def build_vocab(corpus, kind: str) -> Vocab:
     return Vocab(kind=kind, tokens=SPECIALS[kind] + tuple(sorted(seen)))
 
 
-def stack_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and masks of equal-length encoded sequences as [B, L] batches."""
-    return np.stack([s.ids for s in seqs]), np.stack([s.mask for s in seqs])
+def stack_sequences(seqs) -> np.ndarray:
+    """Ids of equal-length encoded sequences as one [B, L] batch."""
+    return np.stack([s.ids for s in seqs])
 
 
 def _padded(ids: list, limit: int, truncated: bool) -> EncodedSequence:
-    """Pad ids with [PAD] (id 0) to limit; the mask marks the real prefix."""
-    real = len(ids)
-    return EncodedSequence(ids=np.array(ids + [0] * (limit - real), dtype=np.int64),
-                           mask=np.arange(limit) < real, truncated=truncated)
+    """Pad ids with PAD_ID to limit."""
+    return EncodedSequence(ids=np.array(ids + [PAD_ID] * (limit - len(ids)), dtype=np.int64),
+                           truncated=truncated)
 
 
 def _lookup(chars: str, vocab: Vocab) -> list[int]:

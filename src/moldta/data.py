@@ -42,7 +42,7 @@ def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ())
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -229,10 +229,13 @@ def load_predictions(path):
     y, y_hat = [], []
     for lineno, row in rows:
         try:
-            y.append(float(row["affinity"]))
-            y_hat.append(float(row["prediction"]))
+            affinity, prediction = float(row["affinity"]), float(row["prediction"])
         except ValueError as exc:
             raise DataError(f"{path} line {lineno}: bad number") from exc
+        if not (math.isfinite(affinity) and math.isfinite(prediction)):
+            raise DataError(f"{path} line {lineno}: affinity and prediction must be finite")
+        y.append(affinity)
+        y_hat.append(prediction)
     if not y:
         raise DataError(f"{path}: no prediction rows")
     return np.array(y), np.array(y_hat)

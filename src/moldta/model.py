@@ -15,7 +15,7 @@ import numpy as np
 from . import transformer as mt
 from .autodiff import Tensor, no_grad
 from .checkpoint import Checkpoint
-from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, stack_sequences
+from .codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, Vocab, stack_sequences
 from .errors import DataError
 from .interaction import InteractionConfig, InteractionWeights, predict_affinity_batch
 from .protein_cnn import ProteinCnnConfig, ProteinCnnWeights, protein_forward_ids
@@ -120,21 +120,21 @@ class DtiModel:
             out.update({f"{prefix}.{name}": t for name, t in part.named().items()})
         return out
 
-    def forward_ids(self, mol_ids, mol_mask, prot_ids, prot_mask,
-                    rng=None, p_rep: Tensor | None = None) -> Tensor:
+    def forward_ids(self, mol_ids, prot_ids, rng=None, p_rep: Tensor | None = None) -> Tensor:
         """Affinity predictions [B] for encoded molecule/protein id batches;
         dropout runs when an rng is given.
 
         `p_rep`, when given, is the protein tower's output for exactly these
-        protein ids and mask; the tower is then not run again.
+        protein ids; the tower is then not run again.
         """
+        mol_mask = mol_ids != PAD_ID
         encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, rng)
         if self.cfg.truncation_pooling == "rep":
             m_rep = mt.pool_rep_batch(encoded)
         else:
             m_rep = mt.pool_mean_batch(encoded, mol_mask)
         if p_rep is None:
-            p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw)
+            p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, self.pw)
         return predict_affinity_batch(m_rep, p_rep, self.iw, rng)
 
     def predict(self, enc_mols, enc_prots, batch_size: int = 32) -> np.ndarray:
@@ -149,17 +149,15 @@ class DtiModel:
         if len(enc_mols) != len(enc_prots):
             raise ValueError("molecule and protein lists must align")
         out = np.empty(len(enc_mols), dtype=np.float64)
-        prev_ids = prev_mask = p_rep = None
+        prev_ids = p_rep = None
         with no_grad():
             for start in range(0, len(enc_mols), batch_size):
                 mols = enc_mols[start:start + batch_size]
-                prot_ids, prot_mask = stack_sequences(enc_prots[start:start + batch_size])
-                if not (np.array_equal(prot_ids, prev_ids)
-                        and np.array_equal(prot_mask, prev_mask)):
-                    p_rep = protein_forward_ids(prot_ids, prot_mask, self.pw)
-                    prev_ids, prev_mask = prot_ids, prot_mask
-                pred = self.forward_ids(*stack_sequences(mols), prot_ids, prot_mask,
-                                        p_rep=p_rep)
+                prot_ids = stack_sequences(enc_prots[start:start + batch_size])
+                if not np.array_equal(prot_ids, prev_ids):
+                    p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, self.pw)
+                    prev_ids = prot_ids
+                pred = self.forward_ids(stack_sequences(mols), prot_ids, p_rep=p_rep)
                 out[start:start + len(mols)] = pred.data
         return out
 

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
-from .codec import (MASK, CodecConfig, EncodedSequence, Vocab, encode_molecule,
+from .codec import (MASK, PAD_ID, CodecConfig, EncodedSequence, Vocab, encode_molecule,
                     encode_protein, stack_sequences)
 from .errors import NumericalError
 from .interaction import mse_loss
@@ -168,8 +168,8 @@ def _masked_lm_logits(example: MaskedExample, w, rng=None):
     """LM logits at the labelled positions, and the original ids there."""
     rows, positions, truths = example.labels.T
     b, length = example.input_ids.shape
-    # [PAD] is id 0 and the masker never writes it, so it marks the padding
-    enc = mt.encode_ids(example.input_ids, example.input_ids != 0, w, rng)
+    # the masker never writes PAD_ID, so it still marks the padding
+    enc = mt.encode_ids(example.input_ids, example.input_ids != PAD_ID, w, rng)
     flat = ad.reshape(enc, (b * length, w.cfg.hidden))
     picked = ad.embedding_lookup(flat, rows * length + positions)
     return mt.lm_logits(picked, w), truths
@@ -186,7 +186,7 @@ def masked_eval_batches(encs, vocab, seed: int) -> list:
     can be scored after every step as the same corrupted inputs.
     """
     rng = np.random.default_rng(seed)
-    ids = np.stack([e.ids for e in encs])
+    ids = stack_sequences(encs)
     return [make_masked_example(ids[start:start + EVAL_CHUNK], vocab, rng)
             for start in range(0, len(ids), EVAL_CHUNK)]
 
@@ -376,8 +376,8 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
             batch = [train[i] for i in order[start:start + run.batch_size]]
             targets = np.array([r.affinity for r in batch])
             try:
-                pred = model.forward_ids(*stack_sequences([r.mol for r in batch]),
-                                         *stack_sequences([r.prot for r in batch]), rng)
+                pred = model.forward_ids(stack_sequences([r.mol for r in batch]),
+                                         stack_sequences([r.prot for r in batch]), rng)
                 loss = mse_loss(pred, targets)
             except NumericalError as exc:
                 raise NumericalError(f"fine-tuning epoch {epoch}: {exc}") from exc

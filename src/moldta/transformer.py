@@ -119,10 +119,10 @@ def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
     return ad.add(tok, pos)
 
 
-def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
+def attention_block(x: Tensor, key_bias: np.ndarray, layer: LayerWeights,
                     rng=None) -> Tensor:
-    """One encoder block over [B, L, D] with a boolean key mask [B, L];
-    dropout runs when an rng is given."""
+    """One encoder block over [B, L, D]; key_bias [B, 1, 1, L] is 0 at real
+    keys and -inf at padding. Dropout runs when an rng is given."""
     cfg = layer.cfg
     b, length, d = x.data.shape
     h, dk = cfg.num_heads, cfg.head_dim
@@ -135,7 +135,7 @@ def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
     v = heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
-    probs = ad.softmax_rows(scores, mask=key_mask[:, None, None, :])
+    probs = ad.softmax_rows(scores, key_bias)
     ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, length, d))
     attn_out = ad.add(ad.matmul(ctx, layer.wo), layer.bo)
     attn_out = ad.dropout(attn_out, cfg.dropout, rng)
@@ -149,12 +149,15 @@ def attention_block(x: Tensor, key_mask: np.ndarray, layer: LayerWeights,
 
 def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
                rng=None) -> Tensor:
-    """Full encoder over an id batch [B, L] -> [B, L, D]; dropout runs when
-    an rng is given."""
+    """Full encoder over an id batch [B, L] -> [B, L, D] that attends only to
+    keys where mask [B, L] is True; dropout runs when an rng is given."""
     x = embed_ids(ids, w)
     mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("cannot encode a sequence with no real tokens")
+    key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
     for layer in w.layers:
-        x = attention_block(x, mask, layer, rng)
+        x = attention_block(x, key_bias, layer, rng)
     return x
 
 
@@ -164,11 +167,10 @@ def pool_rep_batch(encoded: Tensor) -> Tensor:
 
 
 def pool_mean_batch(encoded: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over real (masked True) positions of [B, L, D] -> [B, D]."""
+    """Mean over real (mask True) positions of [B, L, D] -> [B, D]; every row
+    has one, as encode_ids checked."""
     mask = np.asarray(mask, dtype=np.float64)
     counts = mask.sum(axis=1, keepdims=True)
-    if (counts == 0).any():
-        raise ValueError("cannot mean-pool a sequence with no real tokens")
     weights = Tensor(mask[:, :, None] / counts[:, :, None])
     return ad.reduce_sum(ad.multiply(encoded, weights), axis=1)
 

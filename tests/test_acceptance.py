@@ -17,7 +17,7 @@ from moldta import autodiff as ad
 from moldta import transformer as mt
 from moldta.checkpoint import Checkpoint
 from moldta.cli import main
-from moldta.codec import (MOLECULE, PROTEIN, CodecConfig, build_vocab,
+from moldta.codec import (MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab,
                           encode_molecule, encode_protein)
 from moldta.data import Candidate, rank_candidates
 from moldta.interaction import InteractionConfig, mse_loss
@@ -123,13 +123,11 @@ def test_criterion_3_end_to_end_gradient_integrity():
         prots = [encode_protein("ACDEGACDEGACDEGACDEG", prot_vocab, codec),
                  encode_protein("GEDCAGEDCAGEDCAGEDCA", prot_vocab, codec)]
         mol_ids = np.stack([m.ids for m in mols])
-        mol_mask = np.stack([m.mask for m in mols])
         prot_ids = np.stack([p.ids for p in prots])
-        prot_mask = np.stack([p.mask for p in prots])
         targets = np.array([1.3, -0.4])
 
         def loss_fn():
-            pred = model.forward_ids(mol_ids, mol_mask, prot_ids, prot_mask)
+            pred = model.forward_ids(mol_ids, prot_ids)
             return mse_loss(pred, targets)
 
         named = model.named_params()
@@ -155,7 +153,7 @@ def test_criterion_4_attention_invariants():
         codec = CodecConfig(mol_max_len=36)
         encs = [encode_molecule(s, vocab, codec) for s in corpus[:8]]
         ids = np.stack([e.ids for e in encs])
-        mask = np.stack([e.mask for e in encs])
+        mask = ids != PAD_ID
 
         with op_outputs("softmax_rows") as attn:
             base = mt.encode_ids(ids, mask, w)
@@ -381,7 +379,7 @@ def test_criterion_9_warm_start_bitwise():
 
         encs = [encode_molecule(s, vocab, codec, True) for s in corpus[:16]]
         ids = np.stack([e.ids for e in encs])
-        mask = np.stack([e.mask for e in encs])
+        mask = ids != PAD_ID
         out_model = mt.encode_ids(ids, mask, model.tw)
         out_reference = mt.encode_ids(ids, mask, reference)
         assert out_model.data.tobytes() == out_reference.data.tobytes()

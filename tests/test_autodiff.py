@@ -60,15 +60,27 @@ def test_softmax_rows_sum_to_one_and_mask_exact_zero():
     x = Tensor(RNG.normal(size=(4, 7)))
     mask = RNG.random((4, 7)) < 0.6
     mask[:, 0] = True  # keep every row non-empty
-    out = ad.softmax_rows(x, mask=mask)
+    out = ad.softmax_rows(x, np.where(mask, 0.0, -np.inf))
     assert (out.data[~mask] == 0.0).all()
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
 
 
+def test_softmax_rows_key_bias_is_bitwise_the_masked_reference():
+    # a [B, 1, 1, L] key bias broadcast over [B, H, L, L] scores gives exactly
+    # the softmax of the scores with padding keys set to -inf
+    scores = RNG.normal(size=(3, 2, 6, 6)) * 4
+    mask = np.arange(6)[None, :] < np.array([6, 4, 1])[:, None]
+    out = ad.softmax_rows(Tensor(scores), np.where(mask, 0.0, -np.inf)[:, None, None, :])
+    logits = np.where(mask[:, None, None, :], scores, -np.inf)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert out.data.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
 def test_softmax_fully_masked_row_errors():
-    with pytest.raises(ValueError, match="fully-masked"):
-        ad.softmax_rows(Tensor(np.zeros((2, 3))), mask=np.array([[True, True, True],
-                                                                 [False, False, False]]))
+    bias = np.array([[0.0, 0.0, 0.0], [-np.inf, -np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="softmax_rows"):
+            ad.softmax_rows(Tensor(np.zeros((2, 3))), bias)
 
 
 def test_gelu_values():
@@ -432,9 +444,9 @@ def test_grad_softmax_rows():
 
 
 def test_grad_softmax_rows_masked():
-    mask = np.array([[True, True, False, True], [True, False, True, True]])
+    bias = np.array([[0.0, 0.0, -np.inf, 0.0], [0.0, -np.inf, 0.0, 0.0]])
     weights = RNG.normal(size=(2, 4))
-    check_gradients(lambda t: ad.reduce_sum(ad.multiply(ad.softmax_rows(t[0], mask=mask),
+    check_gradients(lambda t: ad.reduce_sum(ad.multiply(ad.softmax_rows(t[0], bias),
                                                         Tensor(weights))),
                     [RNG.normal(size=(2, 4))])
 

@@ -201,3 +201,41 @@ def test_step_clock_counts_optimizer_steps_and_restores(moldta):
     assert len(pretrain_steps) == run.steps
     assert len(finetune_steps) == math.ceil(len(train) / run.batch_size)
     assert min(pretrain_steps + finetune_steps) > 0.0
+
+
+def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
+    # the benchmark reads args[1] of encode_ids and protein_forward_ids as
+    # the real-token mask; it must be exactly ids != [PAD] for every batch
+    tracing = load_tracing()
+    codec, training = moldta.codec, moldta.training
+    smiles, prots = ["CCO", "CN=O", "OCC", "C"], ["MKTAYIAKQRQISF", "MTEYKLVVV"]
+    mol_vocab = codec.build_vocab(smiles, codec.MOLECULE)
+    prot_vocab = codec.build_vocab(prots, codec.PROTEIN)
+    cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
+    records = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec),
+                                      codec.encode_protein(prots[i % 2], prot_vocab,
+                                                           cfg.codec),
+                                      10.0 + 0.1 * i)
+               for i, s in enumerate(smiles)]
+    train, dev = records, records[:2]
+    run = training.TrainRunConfig(seed=0, batch_size=len(train), epochs=1)
+    model = moldta.model.DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    try:
+        tracing.install_layers(tracer, patches, moldta)
+        model.predict([r.mol for r in records], [r.prot for r in records])
+        training.finetune(train, dev, cfg, run, mol_vocab, prot_vocab)
+    finally:
+        patches.restore()
+
+    def counted(key):
+        return sum(value for (_, k), value in tracer.counts.items() if k == key)
+
+    # predict runs one batch; finetune one training step and one dev batch
+    ran = records + train + dev
+    mol_ids = np.stack([r.mol.ids for r in ran])
+    prot_ids = np.stack([r.prot.ids for r in ran])
+    assert 0 < counted("transformer.real_tokens") == (mol_ids != 0).sum() < mol_ids.size
+    assert counted("transformer.positions") == mol_ids.size
+    assert 0 < counted("protein_cnn.real_positions") == (prot_ids != 0).sum() < prot_ids.size
+    assert counted("protein_cnn.positions") == prot_ids.size

@@ -194,6 +194,29 @@ def test_rank_checkpoint_with_unknown_config_field_exits_two(workspace, capsys):
     assert "data error: checkpoint model config:" in err and "rotary" in err
 
 
+def test_warm_start_fills_in_only_an_unset_mol_max_len(workspace, capsys):
+    pre_out = workspace / "pre"
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
+                 "--out", str(pre_out), "--config", str(workspace / "config.txt")]) == 0
+    unset = workspace / "unset.txt"
+    unset.write_text(TINY_CONFIG.replace("model.mol_max_len = 16\n", ""))
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit"), "--config", str(unset),
+                 "--warm-start", str(pre_out / "pretrain.ckpt")]) == 0
+    meta = Checkpoint.load(workspace / "fit" / "model.ckpt").meta["model"]
+    assert meta["codec"]["mol_max_len"] == 16
+    # a configured length that differs from the warm start's is a conflict
+    shorter = workspace / "shorter.txt"
+    shorter.write_text(tiny_config_with("model.mol_max_len = 12\n"))
+    capsys.readouterr()
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit12"), "--config", str(shorter),
+                 "--warm-start", str(pre_out / "pretrain.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "warm-start transformer config does not match the model" in err
+    assert not (workspace / "fit12").exists()
+
+
 def test_warm_start_without_codec_exits_two(workspace, capsys):
     ckpt = workspace / "pre.ckpt"
     Checkpoint(meta={"kind": "pretrain", "mol_vocab": ["[PAD]"]}, tensors={}).save(ckpt)
@@ -321,6 +344,33 @@ def test_evaluate_predictions_header_repeating_a_column_exits_two(workspace, cap
     assert main(["evaluate", "--predictions", str(preds), "--mode", "kiba"]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "repeats columns ['affinity']" in err
+
+
+def test_evaluate_predictions_non_finite_value_exits_two(workspace, capsys):
+    preds = workspace / "preds.tsv"
+    preds.write_text("affinity\tprediction\n1.0\t1.5\nnan\t2.5\n3.0\t3.5\n")
+    assert main(["evaluate", "--predictions", str(preds), "--mode", "kiba"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {preds} line 3: ")
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["pretrain", "--corpus", "{bad}", "--out", "{ws}/out"],
+    ["pretrain", "--corpus", "{ws}/corpus.txt", "--vocab", "{bad}", "--out", "{ws}/out"],
+    ["finetune", "--data", "{bad}", "--out", "{ws}/out"],
+    ["evaluate", "--predictions", "{bad}"],
+    ["rank", "--checkpoint", "{ws}/none.ckpt", "--candidates", "{ws}/candidates.tsv",
+     "--target-file", "{bad}"],
+], ids=["corpus", "vocab", "data", "predictions", "target-file"])
+def test_input_not_utf8_exits_two_naming_the_file(workspace, capsys, args):
+    bad = workspace / "latin1.txt"
+    bad.write_bytes(b"caf\xe9 \xff\n")
+    assert main([arg.format(bad=bad, ws=workspace) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {bad}: ")
+    assert "can't decode byte" in err
+    assert not (workspace / "out").exists()
 
 
 def test_evaluate_requires_exactly_one_source(workspace, capsys):

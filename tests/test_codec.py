@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moldta.codec import (BEGIN, END, MASK, MOLECULE, PAD, PROTEIN, REP,
+from moldta.codec import (BEGIN, END, MASK, MOLECULE, PAD, PAD_ID, PROTEIN, REP,
                           CodecConfig, Vocab, build_vocab, decode,
                           encode_molecule, encode_protein, tokenize_molecule)
 from moldta.errors import DataError
@@ -40,7 +40,7 @@ def test_build_vocab_empty_corpus_errors():
 
 def test_pad_has_id_zero_and_specials_unique():
     vocab = build_vocab(["CCO"], MOLECULE)
-    assert vocab.pad_id == 0
+    assert vocab.pad_id == PAD_ID == 0
     assert vocab.id_of(PAD) == 0
     assert len({vocab.id_of(t) for t in (PAD, REP, BEGIN, END, MASK)}) == 5
 
@@ -52,7 +52,7 @@ def test_encode_molecule_paper_example_nine_tokens():
     assert tokens == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
     assert enc.ids.shape == (100,)
     assert (enc.ids[9:] == vocab.pad_id).all()
-    assert enc.mask.sum() == 9
+    assert (enc.ids != PAD_ID).sum() == 9
     assert not enc.truncated
 
 
@@ -60,7 +60,7 @@ def test_encode_molecule_empty_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     enc = encode_molecule("", vocab, CFG)
     assert [vocab.token_of(int(i)) for i in enc.ids[:3]] == [REP, BEGIN, END]
-    assert enc.mask.sum() == 3
+    assert (enc.ids != PAD_ID).sum() == 3
     assert (enc.ids[3:] == vocab.pad_id).all()
 
 
@@ -69,7 +69,7 @@ def test_encode_molecule_head_tail_truncation():
     vocab = build_vocab([payload], MOLECULE)
     enc = encode_molecule(payload, vocab, CFG)
     assert enc.truncated
-    assert enc.mask.all()  # 100 kept characters, no padding
+    assert (enc.ids != PAD_ID).all()  # 100 kept characters, no padding
     kept = decode(enc.ids, vocab)
     assert kept == payload[50:150]  # middle window
     special = vocab.special_ids()
@@ -82,7 +82,7 @@ def test_encode_molecule_truncation_keep_rep_variant():
     enc = encode_molecule(payload, vocab, CFG, keep_rep_when_truncated=True)
     assert enc.truncated
     assert vocab.token_of(int(enc.ids[0])) == REP
-    assert enc.mask.all()
+    assert (enc.ids != PAD_ID).all()
     assert decode(enc.ids, vocab) == "C" * 99
     assert vocab.id_of(BEGIN) not in enc.ids and vocab.id_of(END) not in enc.ids
 
@@ -92,7 +92,7 @@ def test_encode_molecule_boundary_decorated_length():
     vocab = build_vocab(["C"], MOLECULE)
     enc = encode_molecule("C" * 97, vocab, CFG)
     assert not enc.truncated
-    assert enc.mask.sum() == 100
+    assert (enc.ids != PAD_ID).sum() == 100
     # one more character forces truncation
     enc2 = encode_molecule("C" * 98, vocab, CFG)
     assert enc2.truncated
@@ -108,7 +108,7 @@ def test_encode_protein_basic():
     vocab = build_vocab(["MKT"], PROTEIN)
     enc = encode_protein("MKT", vocab, CFG)
     assert enc.ids.shape == (1000,)
-    assert enc.mask.sum() == 3
+    assert (enc.ids != PAD_ID).sum() == 3
     assert (enc.ids[3:] == vocab.pad_id).all()
     assert not enc.truncated
 
@@ -116,8 +116,7 @@ def test_encode_protein_basic():
 def test_encode_protein_empty():
     vocab = build_vocab(["MKT"], PROTEIN)
     enc = encode_protein("", vocab, CFG)
-    assert not enc.mask.any()
-    assert (enc.ids == vocab.pad_id).all()
+    assert (enc.ids != PAD_ID).sum() == 0
 
 
 def test_encode_protein_truncates_to_prefix():
@@ -125,7 +124,7 @@ def test_encode_protein_truncates_to_prefix():
     vocab = build_vocab([seq], PROTEIN)
     enc = encode_protein(seq, vocab, CFG)
     assert enc.truncated
-    assert enc.mask.all()
+    assert (enc.ids != PAD_ID).all()
     assert decode(enc.ids, vocab) == seq[:1000]
 
 
@@ -158,8 +157,8 @@ def test_round_trip_random_non_truncated(seed=4):
         assert not enc.truncated
         assert decode(enc.ids, vocab) == s
         assert enc.ids.shape == (CFG.mol_max_len,)
-        # mask matches non-pad exactly when nothing was truncated
-        np.testing.assert_array_equal(enc.mask, enc.ids != vocab.pad_id)
+        # every decorated token is real: [REP] [BEGIN] payload [END]
+        assert (enc.ids != PAD_ID).sum() == len(s) + 3
 
 
 def test_truncation_flag_iff_boundary_tokens_absent():
@@ -178,7 +177,6 @@ def test_determinism_identical_bytes():
     a = encode_molecule("CN=C=O", vocab, CFG)
     b = encode_molecule("CN=C=O", vocab, CFG)
     assert a.ids.tobytes() == b.ids.tobytes()
-    assert a.mask.tobytes() == b.mask.tobytes()
 
 
 def test_vocab_save_load_round_trip(tmp_path):
@@ -216,9 +214,9 @@ def test_molecule_encoding_is_the_decorated_payload_or_its_middle_window(payload
                                                                           keep_rep):
     vocab = PROP_MOL_VOCAB
     enc = encode_molecule(payload, vocab, CodecConfig(mol_max_len=cap), keep_rep)
-    real = int(enc.mask.sum())
-    assert enc.ids.shape == enc.mask.shape == (cap,)
-    assert enc.mask[:real].all() and (enc.ids[real:] == vocab.pad_id).all()
+    real = int((enc.ids != PAD_ID).sum())
+    assert enc.ids.shape == (cap,)
+    assert (enc.ids[:real] != PAD_ID).all() and (enc.ids[real:] == vocab.pad_id).all()
     kept = decode(enc, vocab)
     tokens = [vocab.token_of(int(i)) for i in enc.ids[:real]]
     if len(payload) + 3 <= cap:
@@ -244,5 +242,4 @@ def test_protein_encoding_is_the_padded_prefix(fasta, cap):
     assert enc.ids.shape == (cap,)
     assert enc.truncated == (len(fasta) > cap)
     assert decode(enc, vocab) == fasta[:cap]
-    np.testing.assert_array_equal(enc.mask, np.arange(cap) < min(len(fasta), cap))
-    assert (enc.ids[~enc.mask] == vocab.pad_id).all()
+    np.testing.assert_array_equal(enc.ids != PAD_ID, np.arange(cap) < min(len(fasta), cap))

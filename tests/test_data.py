@@ -272,3 +272,10 @@ def test_load_predictions(tmp_path):
     y, y_hat = load_predictions(path)
     assert y.tolist() == [1.0, 2.0]
     assert y_hat.tolist() == [1.5, 2.5]
+
+
+@pytest.mark.parametrize("row", ["nan\t1.5", "1.0\tinf", "-inf\t1.5"])
+def test_load_predictions_non_finite_value_names_its_line(tmp_path, row):
+    path = write(tmp_path, "preds.tsv", f"affinity\tprediction\n2.0\t2.5\n{row}\n")
+    with pytest.raises(DataError, match=r"preds\.tsv line 3: .*must be finite"):
+        load_predictions(path)

@@ -7,7 +7,7 @@ from capture import op_outputs
 from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta import protein_cnn as pc
-from moldta.codec import PROTEIN, CodecConfig, build_vocab, encode_protein
+from moldta.codec import PAD_ID, PROTEIN, CodecConfig, build_vocab, encode_protein
 from moldta.protein_cnn import (ProteinCnnConfig, ProteinCnnWeights,
                                 protein_forward_ids, receptive_field)
 
@@ -42,7 +42,7 @@ def test_forward_output_shape_kiba_defaults():
     w = ProteinCnnWeights(cfg, np.random.default_rng(0))
     vocab = build_vocab(["ACDEFGHIKLMNPQRSTVWYX"], PROTEIN)
     seq = encode_protein("ACDEFGHIKLMNPQRSTVWYX" * 3, vocab, CodecConfig())
-    out = protein_forward_ids(seq.ids[None], seq.mask[None], w)
+    out = protein_forward_ids(seq.ids[None], seq.ids[None] != PAD_ID, w)
     assert out.data.shape == (1, 96)
 
 

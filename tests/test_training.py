@@ -7,7 +7,7 @@ import pytest
 
 from moldta import transformer as mt
 from moldta.autodiff import Tensor
-from moldta.codec import (MASK, MOLECULE, PROTEIN, CodecConfig, build_vocab,
+from moldta.codec import (MASK, MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab,
                           encode_molecule)
 from moldta.checkpoint import Checkpoint
 from moldta.errors import DataError, NumericalError
@@ -529,7 +529,7 @@ def test_warm_start_reproduces_pretrained_forward_bitwise():
     reference = TransformerWeights(cfg.transformer, np.random.default_rng(99))
     pre.checkpoint.restore(reference.named(), "transformer.")
     ids = encoded[0].mol.ids[None]
-    mask = encoded[0].mol.mask[None]
+    mask = ids != PAD_ID
     out_model = mt.encode_ids(ids, mask, model.tw)
     out_reference = mt.encode_ids(ids, mask, reference)
     assert out_model.data.tobytes() == out_reference.data.tobytes()

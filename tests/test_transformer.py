@@ -83,17 +83,17 @@ def test_attention_block_zero_weights_finite():
     for name in ("wq", "wk", "wv", "wo", "ff1_w", "ff2_w"):
         getattr(layer, name).data[:] = 0.0
     x = ad.Tensor(np.random.default_rng(1).normal(size=(1, 8, 4)))
-    out = mt.attention_block(x, np.ones((1, 8), dtype=bool), layer)
+    out = mt.attention_block(x, np.zeros((1, 1, 1, 8)), layer)
     assert np.isfinite(out.data).all()
 
 
 def test_attention_single_unmasked_position_weight_one():
     w = tiny_weights()
-    mask = np.zeros((1, 8), dtype=bool)
-    mask[0, 0] = True
+    key_bias = np.full((1, 1, 1, 8), -np.inf)
+    key_bias[..., 0] = 0.0
     x = ad.Tensor(np.random.default_rng(2).normal(size=(1, 8, 4)))
     with op_outputs("softmax_rows") as attn:
-        mt.attention_block(x, mask, w.layers[0])
+        mt.attention_block(x, key_bias, w.layers[0])
     # every query attends to the single real key with weight exactly 1
     assert (attn[0][:, :, :, 0] == 1.0).all()
     assert (attn[0][:, :, :, 1:] == 0.0).all()
@@ -111,7 +111,7 @@ def test_attention_matches_hand_computation_two_tokens():
     layer.bq.data[:] = 0; layer.bk.data[:] = 0; layer.bv.data[:] = 0
     x = np.array([[0.7, -1.2], [0.4, 2.0]])
     with op_outputs("softmax_rows") as attn:
-        mt.attention_block(ad.Tensor(x[None]), np.ones((1, 2), dtype=bool), layer)
+        mt.attention_block(ad.Tensor(x[None]), np.zeros((1, 1, 1, 2)), layer)
     scores = (x @ wq) @ (x @ wk).T / np.sqrt(2.0)
     expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
     expected /= expected.sum(axis=-1, keepdims=True)
@@ -135,6 +135,13 @@ def test_encode_output_shape():
     mask = np.zeros((3, 8), dtype=bool)
     mask[:, :4] = True
     assert mt.encode_ids(ids, mask, w).data.shape == (3, 8, 4)
+
+
+def test_encode_rejects_a_row_with_no_real_token():
+    w = tiny_weights()
+    ids = np.array([[1, 6, 7, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="no real tokens"):
+        mt.encode_ids(ids, ids != 0, w)
 
 
 def test_encode_invariant_to_pad_id_tampering():
