@@ -157,9 +157,7 @@ def cmd_pretrain(args) -> int:
     lines = [line for line in _read_lines(args.corpus) if line]
     if not lines:
         raise DataError(f"{args.corpus}: no molecules")
-    vocab = Vocab.load(args.vocab) if args.vocab else build_vocab(lines, MOLECULE)
-    if vocab.kind != MOLECULE:
-        raise DataError("pretraining requires a molecule vocabulary")
+    vocab = Vocab.load(args.vocab, MOLECULE) if args.vocab else build_vocab(lines, MOLECULE)
     run = _configured(TrainRunConfig, **sections["run"])
     heldout_fraction = sections["data"].get("heldout_fraction", HELDOUT_FRACTION)
     if not 0.0 <= heldout_fraction < 1.0:
@@ -262,6 +260,10 @@ def cmd_rank(args) -> int:
         raise UsageError("rank needs exactly one of --target-fasta or --target-file")
     if args.target_file:
         lines = _read_lines(args.target_file)
+        n_records = sum(line.startswith(">") for line in lines)
+        if n_records > 1:
+            raise DataError(f"{args.target_file}: {n_records} FASTA records; "
+                            f"rank scores one target")
         fasta = "".join(line.strip() for line in lines if not line.startswith(">"))
     else:
         fasta = args.target_fasta

@@ -24,9 +24,7 @@ BEGIN = "[BEGIN]"
 END = "[END]"
 MASK = "[MASK]"
 
-MOL_SPECIALS = (PAD, REP, BEGIN, END, MASK)
-PROT_SPECIALS = (PAD,)
-SPECIALS = {MOLECULE: MOL_SPECIALS, PROTEIN: PROT_SPECIALS}
+SPECIALS = {MOLECULE: (PAD, REP, BEGIN, END, MASK), PROTEIN: (PAD,)}
 
 
 @dataclass(frozen=True)
@@ -54,25 +52,8 @@ class Vocab:
     def specials(self):
         return SPECIALS[self.kind]
 
-    @property
-    def pad_id(self):
-        return PAD_ID
-
     def id_of(self, token: str) -> int:
         return self.index[token]
-
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise DataError(f"token id {token_id} out of range [0, {len(self.tokens)})")
-        return self.tokens[token_id]
-
-    def special_ids(self) -> frozenset[int]:
-        return frozenset(self.index[t] for t in self.specials)
-
-    def payload_ids(self) -> np.ndarray:
-        """Ids of ordinary (non-special) tokens, in vocabulary order."""
-        n_special = len(self.specials)
-        return np.arange(n_special, len(self.tokens), dtype=np.int64)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -80,7 +61,8 @@ class Vocab:
                 fh.write(token + "\n")
 
     @classmethod
-    def load(cls, path) -> "Vocab":
+    def load(cls, path, kind: str) -> "Vocab":
+        """Read a vocabulary of the given kind written by save()."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 tokens = tuple(line.rstrip("\n") for line in fh)
@@ -88,8 +70,10 @@ class Vocab:
             raise DataError(f"cannot read {path}: {exc}") from exc
         if not tokens:
             raise DataError(f"empty vocab file {path}")
-        kind = MOLECULE if tuple(tokens[: len(MOL_SPECIALS)]) == MOL_SPECIALS else PROTEIN
-        return cls(kind=kind, tokens=tokens)
+        try:
+            return cls(kind=kind, tokens=tokens)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -100,14 +84,6 @@ class CodecConfig:
     def __post_init__(self):
         if self.mol_max_len <= 0 or self.prot_max_len <= 0:
             raise ValueError("sequence length limits must be strictly positive")
-
-
-@dataclass
-class EncodedSequence:
-    """Fixed-length id sequence; positions holding PAD_ID are padding."""
-
-    ids: np.ndarray
-    truncated: bool
 
 
 def build_vocab(corpus, kind: str) -> Vocab:
@@ -126,15 +102,9 @@ def build_vocab(corpus, kind: str) -> Vocab:
     return Vocab(kind=kind, tokens=SPECIALS[kind] + tuple(sorted(seen)))
 
 
-def stack_sequences(seqs) -> np.ndarray:
-    """Ids of equal-length encoded sequences as one [B, L] batch."""
-    return np.stack([s.ids for s in seqs])
-
-
-def _padded(ids: list, limit: int, truncated: bool) -> EncodedSequence:
-    """Pad ids with PAD_ID to limit."""
-    return EncodedSequence(ids=np.array(ids + [PAD_ID] * (limit - len(ids)), dtype=np.int64),
-                           truncated=truncated)
+def _padded(ids: list, limit: int) -> np.ndarray:
+    """Pad ids with PAD_ID to limit, as an int64 array [limit]."""
+    return np.array(ids + [PAD_ID] * (limit - len(ids)), dtype=np.int64)
 
 
 def _lookup(chars: str, vocab: Vocab) -> list[int]:
@@ -152,59 +122,55 @@ def _molecule_window(payload: list, limit: int, keep_rep: bool, rep, begin, end)
 
     A decorated sequence longer than limit loses its boundary tokens and keeps
     the middle window of the payload (head and tail truncated together);
-    keep_rep retains rep in front and shrinks the window by one. Returns the
-    items and whether truncation happened.
+    keep_rep retains rep in front and shrinks the window by one.
     """
     if len(payload) + 3 <= limit:
-        return [rep, begin, *payload, end], False
+        return [rep, begin, *payload, end]
     head = [rep] if keep_rep else []
     window = min(len(payload), limit - len(head))
     start = (len(payload) - window) // 2
-    return head + payload[start:start + window], True
+    return head + payload[start:start + window]
 
 
 def encode_molecule(smiles: str, vocab: Vocab, cfg: CodecConfig,
-                    keep_rep_when_truncated: bool = False) -> EncodedSequence:
-    """Encode a molecule string to [REP] [BEGIN] chars [END] padded to mol_max_len.
+                    keep_rep_when_truncated: bool = False) -> np.ndarray:
+    """Encode a molecule string to the ids [mol_max_len] of [REP] [BEGIN]
+    chars [END], padded with PAD_ID.
 
     Over-long molecules are truncated as _molecule_window describes, keeping
     [REP] at position 0 when keep_rep_when_truncated is set.
     """
     if vocab.kind != MOLECULE:
         raise ValueError("encode_molecule requires a molecule vocab")
-    ids, truncated = _molecule_window(_lookup(smiles, vocab), cfg.mol_max_len,
-                                      keep_rep_when_truncated, vocab.id_of(REP),
-                                      vocab.id_of(BEGIN), vocab.id_of(END))
-    return _padded(ids, cfg.mol_max_len, truncated)
+    ids = _molecule_window(_lookup(smiles, vocab), cfg.mol_max_len, keep_rep_when_truncated,
+                           vocab.id_of(REP), vocab.id_of(BEGIN), vocab.id_of(END))
+    return _padded(ids, cfg.mol_max_len)
 
 
-def encode_protein(fasta: str, vocab: Vocab, cfg: CodecConfig) -> EncodedSequence:
-    """Encode a protein string as bare characters padded to prot_max_len.
+def encode_protein(fasta: str, vocab: Vocab, cfg: CodecConfig) -> np.ndarray:
+    """Encode a protein string to the ids [prot_max_len] of its bare
+    characters, padded with PAD_ID.
 
     Proteins longer than prot_max_len keep their first prot_max_len characters.
     """
     if vocab.kind != PROTEIN:
         raise ValueError("encode_protein requires a protein vocab")
-    payload = _lookup(fasta, vocab)
-    return _padded(payload[:cfg.prot_max_len], cfg.prot_max_len,
-                   len(payload) > cfg.prot_max_len)
+    return _padded(_lookup(fasta, vocab)[:cfg.prot_max_len], cfg.prot_max_len)
 
 
 def decode(ids, vocab: Vocab) -> str:
     """Inverse of encoding: strip special tokens and padding, join the rest."""
-    if isinstance(ids, EncodedSequence):
-        ids = ids.ids
-    special = vocab.special_ids()
+    n_special, n = len(vocab.specials), len(vocab)
     chars = []
-    for token_id in np.asarray(ids).reshape(-1):
-        token_id = int(token_id)
-        token = vocab.token_of(token_id)
-        if token_id not in special:
-            chars.append(token)
+    for token_id in map(int, np.asarray(ids).reshape(-1)):
+        if not 0 <= token_id < n:
+            raise DataError(f"token id {token_id} out of range [0, {n})")
+        if token_id >= n_special:  # specials take the first ids
+            chars.append(vocab.tokens[token_id])
     return "".join(chars)
 
 
 def tokenize_molecule(smiles: str, cfg: CodecConfig | None = None) -> list[str]:
     """Token stream (strings, no padding) for one molecule, truncation included."""
     cfg = cfg or CodecConfig()
-    return _molecule_window(list(smiles), cfg.mol_max_len, False, REP, BEGIN, END)[0]
+    return _molecule_window(list(smiles), cfg.mol_max_len, False, REP, BEGIN, END)

@@ -15,7 +15,7 @@ import numpy as np
 from . import transformer as mt
 from .autodiff import Tensor, no_grad
 from .checkpoint import Checkpoint
-from .codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, Vocab, stack_sequences
+from .codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, Vocab
 from .errors import DataError
 from .interaction import InteractionConfig, InteractionWeights, predict_affinity_batch
 from .protein_cnn import ProteinCnnConfig, ProteinCnnWeights, protein_forward_ids
@@ -138,8 +138,8 @@ class DtiModel:
         return predict_affinity_batch(m_rep, p_rep, self.iw, rng)
 
     def predict(self, enc_mols, enc_prots, batch_size: int = 32) -> np.ndarray:
-        """Inference-mode predictions for aligned encoded sequence lists,
-        computed without recording a tape.
+        """Inference-mode predictions for aligned lists of encoded molecule
+        and protein id arrays, computed without recording a tape.
 
         A batch whose stacked proteins equal the previous batch's reuses that
         batch's tower output, so ranking many molecules against one target
@@ -153,11 +153,11 @@ class DtiModel:
         with no_grad():
             for start in range(0, len(enc_mols), batch_size):
                 mols = enc_mols[start:start + batch_size]
-                prot_ids = stack_sequences(enc_prots[start:start + batch_size])
+                prot_ids = np.stack(enc_prots[start:start + batch_size])
                 if not np.array_equal(prot_ids, prev_ids):
                     p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, self.pw)
                     prev_ids = prot_ids
-                pred = self.forward_ids(stack_sequences(mols), prot_ids, p_rep=p_rep)
+                pred = self.forward_ids(np.stack(mols), prot_ids, p_rep=p_rep)
                 out[start:start + len(mols)] = pred.data
         return out
 

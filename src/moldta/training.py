@@ -16,8 +16,7 @@ from . import autodiff as ad
 from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
-from .codec import (MASK, PAD_ID, CodecConfig, EncodedSequence, Vocab, encode_molecule,
-                    encode_protein, stack_sequences)
+from .codec import MASK, PAD_ID, CodecConfig, Vocab, encode_molecule, encode_protein
 from .errors import NumericalError
 from .interaction import mse_loss
 from .metrics import mse
@@ -186,7 +185,7 @@ def masked_eval_batches(encs, vocab, seed: int) -> list:
     can be scored after every step as the same corrupted inputs.
     """
     rng = np.random.default_rng(seed)
-    ids = stack_sequences(encs)
+    ids = np.stack(encs)
     return [make_masked_example(ids[start:start + EVAL_CHUNK], vocab, rng)
             for start in range(0, len(ids), EVAL_CHUNK)]
 
@@ -231,7 +230,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
     codec_cfg = codec_cfg or CodecConfig(mol_max_len=transformer_cfg.max_len)
     if codec_cfg.mol_max_len != transformer_cfg.max_len:
         raise ValueError("codec mol_max_len must equal transformer max_len")
-    corpus_ids = np.array([encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated).ids
+    corpus_ids = np.array([encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated)
                            for s in corpus if s])
     if not len(corpus_ids):
         raise ValueError("pretraining corpus has no non-empty molecules")
@@ -277,7 +276,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
             _, accuracy = masked_token_eval(batches, weights)
     return PretrainResult(checkpoint=snapshot(run.steps), losses=losses,
                           heldout_accuracy=accuracy,
-                          payload_baseline=1.0 / vocab.payload_ids().size)
+                          payload_baseline=1.0 / (len(vocab) - len(vocab.specials)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +285,8 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
 
 @dataclass
 class EncodedRecord:
-    mol: EncodedSequence
-    prot: EncodedSequence
+    mol: np.ndarray   # encoded molecule ids [mol_max_len]
+    prot: np.ndarray  # encoded protein ids [prot_max_len]
     affinity: float
 
 
@@ -376,8 +375,8 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
             batch = [train[i] for i in order[start:start + run.batch_size]]
             targets = np.array([r.affinity for r in batch])
             try:
-                pred = model.forward_ids(stack_sequences([r.mol for r in batch]),
-                                         stack_sequences([r.prot for r in batch]), rng)
+                pred = model.forward_ids(np.stack([r.mol for r in batch]),
+                                         np.stack([r.prot for r in batch]), rng)
                 loss = mse_loss(pred, targets)
             except NumericalError as exc:
                 raise NumericalError(f"fine-tuning epoch {epoch}: {exc}") from exc

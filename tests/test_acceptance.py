@@ -68,8 +68,8 @@ def test_criterion_2_masking_statistics():
         corpus = ["".join(rng.choice(alphabet, size=payload_len)) for _ in range(200)]
         vocab = build_vocab(corpus, MOLECULE)
         cfg = CodecConfig(mol_max_len=payload_len + 4)
-        ids = np.stack([encode_molecule(s, vocab, cfg).ids for s in corpus])
-        special = np.array(sorted(vocab.special_ids()))
+        ids = np.stack([encode_molecule(s, vocab, cfg) for s in corpus])
+        special = np.array(sorted(vocab.id_of(t) for t in vocab.specials))
         mask_id = vocab.id_of("[MASK]")
 
         payload_total = 0
@@ -122,8 +122,8 @@ def test_criterion_3_end_to_end_gradient_integrity():
         mols = [encode_molecule(s, mol_vocab, codec) for s in ("CNO", "c=O")]
         prots = [encode_protein("ACDEGACDEGACDEGACDEG", prot_vocab, codec),
                  encode_protein("GEDCAGEDCAGEDCAGEDCA", prot_vocab, codec)]
-        mol_ids = np.stack([m.ids for m in mols])
-        prot_ids = np.stack([p.ids for p in prots])
+        mol_ids = np.stack(mols)
+        prot_ids = np.stack(prots)
         targets = np.array([1.3, -0.4])
 
         def loss_fn():
@@ -152,7 +152,7 @@ def test_criterion_4_attention_invariants():
         w = TransformerWeights(cfg, rng)
         codec = CodecConfig(mol_max_len=36)
         encs = [encode_molecule(s, vocab, codec) for s in corpus[:8]]
-        ids = np.stack([e.ids for e in encs])
+        ids = np.stack(encs)
         mask = ids != PAD_ID
 
         with op_outputs("softmax_rows") as attn:
@@ -378,7 +378,7 @@ def test_criterion_9_warm_start_bitwise():
         load_warm_start(model, pre.checkpoint)
 
         encs = [encode_molecule(s, vocab, codec, True) for s in corpus[:16]]
-        ids = np.stack([e.ids for e in encs])
+        ids = np.stack(encs)
         mask = ids != PAD_ID
         out_model = mt.encode_ids(ids, mask, model.tw)
         out_reference = mt.encode_ids(ids, mask, reference)

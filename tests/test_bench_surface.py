@@ -233,8 +233,8 @@ def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
 
     # predict runs one batch; finetune one training step and one dev batch
     ran = records + train + dev
-    mol_ids = np.stack([r.mol.ids for r in ran])
-    prot_ids = np.stack([r.prot.ids for r in ran])
+    mol_ids = np.stack([r.mol for r in ran])
+    prot_ids = np.stack([r.prot for r in ran])
     assert 0 < counted("transformer.real_tokens") == (mol_ids != 0).sum() < mol_ids.size
     assert counted("transformer.positions") == mol_ids.size
     assert 0 < counted("protein_cnn.real_positions") == (prot_ids != 0).sum() < prot_ids.size

@@ -396,6 +396,31 @@ def test_rank_target_file_fasta_format(workspace, capsys):
     assert out.startswith("rank\t")
 
 
+def test_rank_target_file_with_two_records_exits_two(workspace, capsys):
+    fit_out = workspace / "fit"
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(fit_out), "--config", str(workspace / "config.txt")]) == 0
+    target = workspace / "two.fasta"
+    target.write_text(f">first\n{PROTS[0]}\n>second\n{PROTS[1]}\n")
+    capsys.readouterr()  # drop the training logs
+    assert main(["rank", "--checkpoint", str(fit_out / "model.ckpt"),
+                 "--candidates", str(workspace / "candidates.tsv"),
+                 "--target-file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {target}: 2 FASTA records; rank scores one target\n"
+    assert captured.out == ""
+
+
+def test_pretrain_vocab_of_another_kind_exits_two_naming_the_file(workspace, capsys):
+    vocab = workspace / "v.txt"
+    vocab.write_text("C\nN\n")
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"), "--vocab", str(vocab),
+                 "--out", str(workspace / "out"), "--config", str(workspace / "config.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {vocab}: molecule vocab must start with ")
+    assert not (workspace / "out").exists()
+
+
 def test_numerical_blowup_exits_three(workspace, capsys):
     cfg = workspace / "blowup.txt"
     cfg.write_text(tiny_config_with("train.learning_rate = 1e150\n"))

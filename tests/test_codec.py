@@ -40,62 +40,57 @@ def test_build_vocab_empty_corpus_errors():
 
 def test_pad_has_id_zero_and_specials_unique():
     vocab = build_vocab(["CCO"], MOLECULE)
-    assert vocab.pad_id == PAD_ID == 0
-    assert vocab.id_of(PAD) == 0
+    assert vocab.id_of(PAD) == PAD_ID == 0
     assert len({vocab.id_of(t) for t in (PAD, REP, BEGIN, END, MASK)}) == 5
 
 
 def test_encode_molecule_paper_example_nine_tokens():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     enc = encode_molecule("CN=C=O", vocab, CFG)
-    tokens = [vocab.token_of(int(i)) for i in enc.ids[:9]]
+    tokens = [vocab.tokens[i] for i in enc[:9]]
     assert tokens == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
-    assert enc.ids.shape == (100,)
-    assert (enc.ids[9:] == vocab.pad_id).all()
-    assert (enc.ids != PAD_ID).sum() == 9
-    assert not enc.truncated
+    assert enc.shape == (100,)
+    assert (enc[9:] == PAD_ID).all()
+    assert (enc != PAD_ID).sum() == 9
 
 
 def test_encode_molecule_empty_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     enc = encode_molecule("", vocab, CFG)
-    assert [vocab.token_of(int(i)) for i in enc.ids[:3]] == [REP, BEGIN, END]
-    assert (enc.ids != PAD_ID).sum() == 3
-    assert (enc.ids[3:] == vocab.pad_id).all()
+    assert [vocab.tokens[i] for i in enc[:3]] == [REP, BEGIN, END]
+    assert (enc != PAD_ID).sum() == 3
+    assert (enc[3:] == PAD_ID).all()
 
 
 def test_encode_molecule_head_tail_truncation():
     payload = "C" * 50 + "N" * 100 + "O" * 50
     vocab = build_vocab([payload], MOLECULE)
     enc = encode_molecule(payload, vocab, CFG)
-    assert enc.truncated
-    assert (enc.ids != PAD_ID).all()  # 100 kept characters, no padding
-    kept = decode(enc.ids, vocab)
+    assert (enc != PAD_ID).all()  # 100 kept characters, no padding
+    kept = decode(enc, vocab)
     assert kept == payload[50:150]  # middle window
-    special = vocab.special_ids()
-    assert not any(int(i) in special for i in enc.ids)
+    assert not any(vocab.tokens[i] in vocab.specials for i in enc)
 
 
 def test_encode_molecule_truncation_keep_rep_variant():
     payload = "C" * 120
     vocab = build_vocab([payload], MOLECULE)
     enc = encode_molecule(payload, vocab, CFG, keep_rep_when_truncated=True)
-    assert enc.truncated
-    assert vocab.token_of(int(enc.ids[0])) == REP
-    assert (enc.ids != PAD_ID).all()
-    assert decode(enc.ids, vocab) == "C" * 99
-    assert vocab.id_of(BEGIN) not in enc.ids and vocab.id_of(END) not in enc.ids
+    assert vocab.tokens[enc[0]] == REP
+    assert (enc != PAD_ID).all()
+    assert decode(enc, vocab) == "C" * 99
+    assert vocab.id_of(BEGIN) not in enc and vocab.id_of(END) not in enc
 
 
 def test_encode_molecule_boundary_decorated_length():
     # payload of exactly mol_max_len - 3 still fits undecorated
     vocab = build_vocab(["C"], MOLECULE)
     enc = encode_molecule("C" * 97, vocab, CFG)
-    assert not enc.truncated
-    assert (enc.ids != PAD_ID).sum() == 100
+    assert vocab.id_of(BEGIN) in enc and vocab.id_of(END) in enc
+    assert (enc != PAD_ID).sum() == 100
     # one more character forces truncation
     enc2 = encode_molecule("C" * 98, vocab, CFG)
-    assert enc2.truncated
+    assert vocab.id_of(BEGIN) not in enc2 and vocab.id_of(END) not in enc2
 
 
 def test_encode_molecule_unknown_character_names_it():
@@ -107,32 +102,30 @@ def test_encode_molecule_unknown_character_names_it():
 def test_encode_protein_basic():
     vocab = build_vocab(["MKT"], PROTEIN)
     enc = encode_protein("MKT", vocab, CFG)
-    assert enc.ids.shape == (1000,)
-    assert (enc.ids != PAD_ID).sum() == 3
-    assert (enc.ids[3:] == vocab.pad_id).all()
-    assert not enc.truncated
+    assert enc.shape == (1000,)
+    assert (enc != PAD_ID).sum() == 3
+    assert (enc[3:] == PAD_ID).all()
 
 
 def test_encode_protein_empty():
     vocab = build_vocab(["MKT"], PROTEIN)
     enc = encode_protein("", vocab, CFG)
-    assert (enc.ids != PAD_ID).sum() == 0
+    assert (enc != PAD_ID).sum() == 0
 
 
 def test_encode_protein_truncates_to_prefix():
     seq = "MKTA" * 300  # 1200 characters
     vocab = build_vocab([seq], PROTEIN)
     enc = encode_protein(seq, vocab, CFG)
-    assert enc.truncated
-    assert (enc.ids != PAD_ID).all()
-    assert decode(enc.ids, vocab) == seq[:1000]
+    assert (enc != PAD_ID).all()
+    assert decode(enc, vocab) == seq[:1000]
 
 
 def test_decode_round_trips():
     mol_vocab = build_vocab(["CN=C=O"], MOLECULE)
-    assert decode(encode_molecule("CN=C=O", mol_vocab, CFG).ids, mol_vocab) == "CN=C=O"
+    assert decode(encode_molecule("CN=C=O", mol_vocab, CFG), mol_vocab) == "CN=C=O"
     prot_vocab = build_vocab(["MKT"], PROTEIN)
-    assert decode(encode_protein("MKT", prot_vocab, CFG).ids, prot_vocab) == "MKT"
+    assert decode(encode_protein("MKT", prot_vocab, CFG), prot_vocab) == "MKT"
 
 
 def test_decode_all_pad_is_empty():
@@ -154,29 +147,41 @@ def test_round_trip_random_non_truncated(seed=4):
     vocab = build_vocab(corpus, MOLECULE)
     for s in corpus:
         enc = encode_molecule(s, vocab, CFG)
-        assert not enc.truncated
-        assert decode(enc.ids, vocab) == s
-        assert enc.ids.shape == (CFG.mol_max_len,)
+        assert vocab.id_of(BEGIN) in enc and vocab.id_of(END) in enc
+        assert decode(enc, vocab) == s
+        assert enc.shape == (CFG.mol_max_len,)
         # every decorated token is real: [REP] [BEGIN] payload [END]
-        assert (enc.ids != PAD_ID).sum() == len(s) + 3
+        assert (enc != PAD_ID).sum() == len(s) + 3
 
 
-def test_truncation_flag_iff_boundary_tokens_absent():
+def test_boundary_tokens_absent_iff_decorated_length_exceeds_cap():
     rng = np.random.default_rng(11)
     vocab = build_vocab(["CNO"], MOLECULE)
     for n in [0, 5, 96, 97, 98, 100, 150, 400]:
         s = "".join(rng.choice(list("CNO"), size=n))
         enc = encode_molecule(s, vocab, CFG)
-        has_begin = vocab.id_of(BEGIN) in enc.ids
-        has_end = vocab.id_of(END) in enc.ids
-        assert enc.truncated == (not has_begin or not has_end)
+        over_cap = n + 3 > CFG.mol_max_len
+        assert (vocab.id_of(BEGIN) not in enc) == over_cap
+        assert (vocab.id_of(END) not in enc) == over_cap
+
+
+def test_encoders_return_int64_id_arrays_of_the_cap_length():
+    cfg = CodecConfig(mol_max_len=12, prot_max_len=7)
+    mol_vocab, prot_vocab = build_vocab(["CN=C=O"], MOLECULE), build_vocab(["MKT"], PROTEIN)
+    # under the cap (padded) and over it (truncated)
+    for enc, cap in ((encode_molecule("CN=C=O", mol_vocab, cfg), 12),
+                     (encode_molecule("C" * 30, mol_vocab, cfg, True), 12),
+                     (encode_protein("MKT", prot_vocab, cfg), 7),
+                     (encode_protein("MKT" * 5, prot_vocab, cfg), 7)):
+        assert type(enc) is np.ndarray
+        assert enc.dtype == np.int64 and enc.shape == (cap,)
 
 
 def test_determinism_identical_bytes():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     a = encode_molecule("CN=C=O", vocab, CFG)
     b = encode_molecule("CN=C=O", vocab, CFG)
-    assert a.ids.tobytes() == b.ids.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_vocab_save_load_round_trip(tmp_path):
@@ -185,14 +190,14 @@ def test_vocab_save_load_round_trip(tmp_path):
     vocab.save(path)
     raw = path.read_text().splitlines()
     assert raw[0] == PAD and raw[5] == "="  # line number = id
-    loaded = Vocab.load(path)
+    loaded = Vocab.load(path, MOLECULE)
     assert loaded.kind == MOLECULE
     assert loaded.tokens == vocab.tokens
 
     prot = build_vocab(["MKT"], PROTEIN)
     prot_path = tmp_path / "prot.txt"
     prot.save(prot_path)
-    assert Vocab.load(prot_path).kind == PROTEIN
+    assert Vocab.load(prot_path, PROTEIN).kind == PROTEIN
 
 
 def test_codec_config_validation():
@@ -214,19 +219,17 @@ def test_molecule_encoding_is_the_decorated_payload_or_its_middle_window(payload
                                                                           keep_rep):
     vocab = PROP_MOL_VOCAB
     enc = encode_molecule(payload, vocab, CodecConfig(mol_max_len=cap), keep_rep)
-    real = int((enc.ids != PAD_ID).sum())
-    assert enc.ids.shape == (cap,)
-    assert (enc.ids[:real] != PAD_ID).all() and (enc.ids[real:] == vocab.pad_id).all()
+    real = int((enc != PAD_ID).sum())
+    assert enc.shape == (cap,)
+    assert (enc[:real] != PAD_ID).all() and (enc[real:] == PAD_ID).all()
     kept = decode(enc, vocab)
-    tokens = [vocab.token_of(int(i)) for i in enc.ids[:real]]
+    tokens = [vocab.tokens[i] for i in enc[:real]]
     if len(payload) + 3 <= cap:
-        assert not enc.truncated
         assert tokens == [REP, BEGIN, *payload, END]
         assert kept == payload
         return
     # a truncated molecule is a contiguous middle window of its payload,
     # [REP] in front when keep_rep, with no other special token
-    assert enc.truncated
     head = [REP] if keep_rep else []
     assert tokens == head + list(kept)
     assert len(kept) == min(len(payload), cap - len(head))
@@ -239,7 +242,6 @@ def test_molecule_encoding_is_the_decorated_payload_or_its_middle_window(payload
 def test_protein_encoding_is_the_padded_prefix(fasta, cap):
     vocab = PROP_PROT_VOCAB
     enc = encode_protein(fasta, vocab, CodecConfig(prot_max_len=cap))
-    assert enc.ids.shape == (cap,)
-    assert enc.truncated == (len(fasta) > cap)
+    assert enc.shape == (cap,)
     assert decode(enc, vocab) == fasta[:cap]
-    np.testing.assert_array_equal(enc.ids != PAD_ID, np.arange(cap) < min(len(fasta), cap))
+    np.testing.assert_array_equal(enc != PAD_ID, np.arange(cap) < min(len(fasta), cap))

@@ -75,7 +75,7 @@ def test_forward_shapes_and_interaction_width():
     model, codec, mol_vocab, prot_vocab = tiny_setup()
     mol = encode_molecule("CCO", mol_vocab, codec)
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
-    pred = model.forward_ids(mol.ids[None], prot.ids[None])
+    pred = model.forward_ids(mol[None], prot[None])
     assert pred.data.shape == (1,)
     assert model.iw.in_width == 8 + 5  # hidden + last filter count
 
@@ -86,7 +86,7 @@ def test_predict_matches_forward_per_pair():
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     batch = model.predict(mols, [prot] * 3, batch_size=1)
     for i, mol in enumerate(mols):
-        single = model.forward_ids(mol.ids[None], prot.ids[None])
+        single = model.forward_ids(mol[None], prot[None])
         assert batch[i] == float(single.data[0])  # bitwise
 
 
@@ -125,8 +125,7 @@ def test_predict_reuses_tower_only_for_equal_batches_bitwise(monkeypatch, batch_
     expected = []
     for start in range(0, len(mols), batch_size):
         mb, pb = mols[start:start + batch_size], prots[start:start + batch_size]
-        expected.extend(model.forward_ids(np.stack([m.ids for m in mb]),
-                                          np.stack([p.ids for p in pb])).data)
+        expected.extend(model.forward_ids(np.stack(mb), np.stack(pb)).data)
     calls = count_tower_calls(monkeypatch)
     got = model.predict(mols, prots, batch_size=batch_size)
     assert got.tobytes() == np.array(expected).tobytes()

@@ -42,7 +42,7 @@ def test_forward_output_shape_kiba_defaults():
     w = ProteinCnnWeights(cfg, np.random.default_rng(0))
     vocab = build_vocab(["ACDEFGHIKLMNPQRSTVWYX"], PROTEIN)
     seq = encode_protein("ACDEFGHIKLMNPQRSTVWYX" * 3, vocab, CodecConfig())
-    out = protein_forward_ids(seq.ids[None], seq.ids[None] != PAD_ID, w)
+    out = protein_forward_ids(seq[None], seq[None] != PAD_ID, w)
     assert out.data.shape == (1, 96)
 
 

@@ -62,7 +62,7 @@ class Rec:
 def cn_c_o_batch():
     """Vocab and the one-row id batch of CN=C=O at length 16: payload at 2..7."""
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    return vocab, encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16)).ids[None]
+    return vocab, encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16))[None]
 
 
 def draws(fill, at=(), shape=(1, 16)):
@@ -128,10 +128,10 @@ def test_masking_requires_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     seq = encode_molecule("", vocab, CodecConfig(mol_max_len=16))
     with pytest.raises(ValueError, match="payload"):
-        make_masked_example(seq.ids[None], vocab, np.random.default_rng(0))
+        make_masked_example(seq[None], vocab, np.random.default_rng(0))
     # one row without payload fails the whole batch
     vocab, ids = mixed_batch()
-    empty = encode_molecule("", vocab, CodecConfig(mol_max_len=10)).ids
+    empty = encode_molecule("", vocab, CodecConfig(mol_max_len=10))
     with pytest.raises(ValueError, match="payload"):
         make_masked_example(np.vstack([ids[:3], empty, ids[3:]]), vocab,
                             np.random.default_rng(0))
@@ -146,7 +146,7 @@ def mixed_batch():
     and a truncated row that keeps [REP] but loses [BEGIN] and [END]."""
     vocab = build_vocab(MIXED, MOLECULE)
     cfg = CodecConfig(mol_max_len=10)
-    return vocab, np.stack([encode_molecule(s, vocab, cfg, True).ids for s in MIXED])
+    return vocab, np.stack([encode_molecule(s, vocab, cfg, True) for s in MIXED])
 
 
 def test_masking_batch_of_mixed_lengths_selects_payload_once_per_row_at_least():
@@ -207,7 +207,7 @@ class NothingSelected:
 def test_masking_fallback_is_uniform_over_each_rows_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     cfg = CodecConfig(mol_max_len=10)
-    rows = np.stack([encode_molecule(s, vocab, cfg).ids for s in ("CCO", "CN=C=O")])
+    rows = np.stack([encode_molecule(s, vocab, cfg) for s in ("CCO", "CN=C=O")])
     ids = np.tile(rows, (3000, 1))
     example = make_masked_example(ids, vocab, NothingSelected(5))
     rows, positions, _ = example.labels.T
@@ -236,8 +236,8 @@ def test_masking_statistics_and_special_token_immunity():
     corpus = ["".join(rng.choice(alphabet, size=50)) for _ in range(60)]
     vocab = build_vocab(corpus, MOLECULE)
     cfg = CodecConfig(mol_max_len=60)
-    ids = np.stack([encode_molecule(s, vocab, cfg).ids for s in corpus])
-    special = np.array(sorted(vocab.special_ids()))
+    ids = np.stack([encode_molecule(s, vocab, cfg) for s in corpus])
+    special = np.array(sorted(vocab.id_of(t) for t in vocab.specials))
     mask_id = vocab.id_of(MASK)
 
     payload_total = 0
@@ -394,7 +394,7 @@ def test_untrained_accuracy_near_uniform_baseline():
     weights = TransformerWeights(cfg, np.random.default_rng(0))
     encs = [encode_molecule(s, vocab, CodecConfig(mol_max_len=16)) for s in corpus]
     _, acc = masked_token_eval(masked_eval_batches(encs, vocab, seed=5), weights)
-    baseline = 1.0 / vocab.payload_ids().size
+    baseline = 1.0 / (len(vocab) - len(vocab.specials))
     assert acc < 3 * baseline  # untrained stays near random
 
 
@@ -528,7 +528,7 @@ def test_warm_start_reproduces_pretrained_forward_bitwise():
 
     reference = TransformerWeights(cfg.transformer, np.random.default_rng(99))
     pre.checkpoint.restore(reference.named(), "transformer.")
-    ids = encoded[0].mol.ids[None]
+    ids = encoded[0].mol[None]
     mask = ids != PAD_ID
     out_model = mt.encode_ids(ids, mask, model.tw)
     out_reference = mt.encode_ids(ids, mask, reference)

@@ -72,9 +72,9 @@ def test_embed_encoded_molecule_as_batch_of_one():
     cfg = CodecConfig(mol_max_len=8)
     w = tiny_weights()
     seq = encode_molecule("CN=O", vocab, cfg)
-    out = mt.embed_ids(seq.ids[None], w)
+    out = mt.embed_ids(seq[None], w)
     assert out.data.shape == (1, 8, 4)
-    np.testing.assert_allclose(out.data[0, 0], w.mte.data[seq.ids[0]] + w.pe.data[0])
+    np.testing.assert_allclose(out.data[0, 0], w.mte.data[seq[0]] + w.pe.data[0])
 
 
 def test_attention_block_zero_weights_finite():

@@ -1,0 +1,147 @@
+"""Digest every output of a fixed `moldta` CLI matrix, to compare two trees.
+
+    python3 tools/cli_digests.py SRC_DIR OUT_DIR
+
+Runs the CLI of SRC_DIR/src (PYTHONPATH=SRC_DIR/src, one subprocess per
+command) in a temporary directory, on the tiny config and data of this
+repo's tests/test_cli.py (TINY_CONFIG, SMIS, PROTS). At seeds 1 and 3 it
+runs pretrain, warm-started kiba and cold davis finetune, evaluate
+--checkpoint, rank with one skipped candidate (by --target-fasta and by a
+one-record --target-file) and pretrain reusing the saved vocabulary; once
+it runs tokenize and two inputs that are data errors (a vocabulary of the
+wrong kind, a two-record target file). Every command runs with relative
+paths, so its output does not depend on where the directory is.
+
+It prints one line per command (name, exit code, sha256 of stdout and of
+stderr), then one line per file left in the directory (sha256, path), and
+writes the same listing to OUT_DIR/digests.txt. The directory itself is
+copied to OUT_DIR, and each command's stdout and stderr go to OUT_DIR/logs/.
+Running it on a `git archive` export of one commit and a checkout of
+another and diffing the two listings shows every CLI difference between
+them.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 3)
+
+
+def cli_test_inputs() -> dict:
+    """TINY_CONFIG, SMIS and PROTS from tests/test_cli.py, read without
+    importing it (that would import moldta from this process's path)."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    wanted = {"TINY_CONFIG", "SMIS", "PROTS"}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in wanted:
+                found[name] = ast.literal_eval(node.value)
+    missing = wanted - found.keys()
+    if missing:
+        raise SystemExit(f"tests/test_cli.py does not define {sorted(missing)}")
+    return found
+
+
+def write_inputs(work: Path, inputs: dict):
+    smis, prots = inputs["SMIS"], inputs["PROTS"]
+    (work / "config.txt").write_text(inputs["TINY_CONFIG"])
+    (work / "corpus.txt").write_text("\n".join(smis) + "\n")
+    kiba = ["smiles\tfasta\taffinity"]
+    davis = ["smiles\tfasta\taffinity"]
+    for i, s in enumerate(smis):
+        kiba.append(f"{s}\t{prots[i % 2]}\t{4.0 + 0.3 * i}")
+        davis.append(f"{s}\t{prots[(i + 1) % 2]}\t{10.0 * (i + 1) ** 2}")  # raw Kd, nM
+    (work / "kiba.tsv").write_text("\n".join(kiba) + "\n")
+    (work / "davis.tsv").write_text("\n".join(davis) + "\n")
+    # CCX holds a character outside every vocabulary, so rank skips it
+    (work / "candidates.tsv").write_text(
+        "id\tname\tsmiles\n3\tGamma\tCCO\n1\tAlpha\tCNC\n4\tDelta\tCCX\n2\tBeta\tOCCO\n")
+    (work / "target.fasta").write_text(f">one\n{prots[0][:14]}\n{prots[0][14:]}\n")
+    (work / "two.fasta").write_text(f">first\n{prots[0]}\n>second\n{prots[1]}\n")
+    (work / "protein_vocab.txt").write_text("C\nN\n")
+
+
+def matrix(prots) -> list:
+    """(name, argv) pairs in run order; later commands read earlier outputs."""
+    runs = [("tokenize", ["tokenize", "CN=C=O"]),
+            ("tokenize-truncated", ["tokenize", "CC(=O)OC1=CC=CC=C1", "--mol-max-len", "8"]),
+            ("pretrain-protein-vocab", ["pretrain", "--corpus", "corpus.txt", "--vocab",
+                                        "protein_vocab.txt", "--out", "bad_vocab",
+                                        "--config", "config.txt"])]
+    for seed in SEEDS:
+        d = f"seed{seed}"
+        common = ["--config", "config.txt", "--seed", str(seed)]
+        rank = ["rank", "--checkpoint", f"{d}/kiba/model.ckpt", "--candidates", "candidates.tsv"]
+        runs += [
+            (f"{d}-pretrain", ["pretrain", "--corpus", "corpus.txt", "--out", f"{d}/pre",
+                               *common]),
+            (f"{d}-pretrain-reuse-vocab", ["pretrain", "--corpus", "corpus.txt", "--vocab",
+                                           f"{d}/pre/mol_vocab.txt", "--out", f"{d}/pre2",
+                                           *common]),
+            (f"{d}-finetune-kiba-warm", ["finetune", "--data", "kiba.tsv", "--mode", "kiba",
+                                         "--warm-start", f"{d}/pre/pretrain.ckpt",
+                                         "--out", f"{d}/kiba", *common]),
+            (f"{d}-finetune-davis-cold", ["finetune", "--data", "davis.tsv", "--mode", "davis",
+                                          "--raw-kd", "--out", f"{d}/davis", *common]),
+            (f"{d}-evaluate-checkpoint", ["evaluate", "--checkpoint", f"{d}/kiba/model.ckpt",
+                                          "--data", "kiba.tsv", "--mode", "kiba",
+                                          "--out", f"{d}/evaluate.txt"]),
+            (f"{d}-rank-fasta", [*rank, "--target-fasta", prots[0],
+                                 "--out", f"{d}/ranking.tsv"]),
+            (f"{d}-rank-target-file", [*rank, "--target-file", "target.fasta",
+                                       "--out", f"{d}/ranking_file.tsv"]),
+            (f"{d}-rank-two-records", [*rank, "--target-file", "two.fasta"]),
+        ]
+    return runs
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 1
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    if not (src / "src" / "moldta").is_dir():
+        print(f"{src} holds no src/moldta", file=sys.stderr)
+        return 1
+    inputs = cli_test_inputs()
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    logs = out / "logs"
+    logs.mkdir(parents=True, exist_ok=True)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_inputs(work, inputs)
+        for name, args in matrix(inputs["PROTS"]):
+            proc = subprocess.run([sys.executable, "-m", "moldta.cli", *args], cwd=work,
+                                  env=env, capture_output=True)
+            (logs / f"{name}.stdout").write_bytes(proc.stdout)
+            (logs / f"{name}.stderr").write_bytes(proc.stderr)
+            lines.append(f"{name} exit={proc.returncode} stdout={sha256(proc.stdout)} "
+                         f"stderr={sha256(proc.stderr)}")
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(work).as_posix()}")
+        shutil.copytree(work, out, dirs_exist_ok=True)
+    listing = "\n".join(lines) + "\n"
+    (out / "digests.txt").write_text(listing)
+    print(listing, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
