@@ -29,6 +29,7 @@ from .errors import NumericalError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-12
 
 
 class Tensor:
@@ -199,8 +200,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward_fn, "matmul")
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    perm = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes) -> Tensor:
+    perm = tuple(axes)
     inv = tuple(np.argsort(perm))
     data = np.transpose(a.data, perm)
     return _result(data, (a,), lambda grad: (np.transpose(grad, inv),), "transpose")
@@ -291,7 +292,7 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward_fn, "gelu")
 
 
-def softmax_rows(a: Tensor, bias=None) -> Tensor:
+def softmax_rows(a: Tensor, bias) -> Tensor:
     """Softmax of a + bias over the last axis; bias is a constant that
     broadcasts to a, and a -inf bias entry comes out exactly 0.
 
@@ -300,7 +301,7 @@ def softmax_rows(a: Tensor, bias=None) -> Tensor:
     """
     if a.data.shape[-1] < 1:
         raise ValueError("softmax over an empty axis")
-    data = a.data.copy() if bias is None else a.data + bias
+    data = a.data + bias
     data -= data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
@@ -310,12 +311,12 @@ def softmax_rows(a: Tensor, bias=None) -> Tensor:
     return _result(data, (a,), backward_fn, "softmax_rows")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standardize over the last axis, then apply the affine (gain, bias)."""
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
     def backward_fn(grad):
@@ -362,20 +363,17 @@ def unfold_windows(a: Tensor, size: int) -> Tensor:
     return _result(data, (a,), backward_fn, "unfold_windows")
 
 
-def conv1d(x: Tensor, filters: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1d(x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Valid cross-correlation of [..., L, d] with filters [s, d, m] -> [..., L-s+1, m]."""
     s, d, m = filters.data.shape
     if x.data.shape[-1] != d:
         raise ValueError(f"conv1d channel mismatch: input {x.data.shape} vs filters {filters.data.shape}")
     windows = unfold_windows(x, s)
     flat = reshape(filters, (s * d, m))
-    out = matmul(windows, flat)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    return add(matmul(windows, flat), bias)
 
 
-def embedding_conv1d(table: Tensor, ids, filters: Tensor, bias: Tensor | None = None) -> Tensor:
+def embedding_conv1d(table: Tensor, ids, filters: Tensor, bias: Tensor) -> Tensor:
     """conv1d(embedding_lookup(table, ids), filters, bias) without the lookup
     or its windows: ids [..., L] -> [..., L-s+1, m].
 
@@ -397,8 +395,7 @@ def embedding_conv1d(table: Tensor, ids, filters: Tensor, bias: Tensor | None = 
     data = tables[0][ids[..., :out_len]]
     for j in range(1, s):
         data += tables[j][ids[..., j:j + out_len]]
-    if bias is not None:
-        data += bias.data
+    data += bias.data
     def backward_fn(grad):
         flat = grad.reshape(-1, m)
         dtables = np.empty(tables.shape, dtype=grad.dtype)
@@ -409,9 +406,8 @@ def embedding_conv1d(table: Tensor, ids, filters: Tensor, bias: Tensor | None = 
             dtables[j] = onehot.T @ flat
         d_table = np.matmul(dtables, filters.data.swapaxes(-1, -2)).sum(axis=0)
         d_filters = np.matmul(table.data.T, dtables)
-        return (d_table, d_filters) if bias is None else (d_table, d_filters, grad)
-    parents = (table, filters) if bias is None else (table, filters, bias)
-    return _result(data, parents, backward_fn, "embedding_conv1d")
+        return d_table, d_filters, grad
+    return _result(data, (table, filters, bias), backward_fn, "embedding_conv1d")
 
 
 def max_pool_over_length(a: Tensor) -> Tensor:

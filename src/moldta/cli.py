@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, build_vocab, tokenize_molecule
 from .data import (format_ranking, load_affinity_dataset, load_candidates,
-                   load_predictions, rank_candidates, split_folds)
+                   load_predictions, rank_candidates, read_lines, split_folds)
 from .errors import DataError, NumericalError
 from .metrics import evaluate
 from .model import MODE_PRESETS, DtiModel, ModelConfig, keep_rep_for
@@ -125,14 +125,6 @@ def _configured(build, *args, **kwargs):
         raise UsageError(f"invalid config: {exc}") from exc
 
 
-def _read_lines(path) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -154,7 +146,7 @@ def cmd_tokenize(args) -> int:
 def cmd_pretrain(args) -> int:
     sections = _sections(args, "codec", "transformer", "model", "run", "data")
     codec_cfg = _configured(CodecConfig, **sections["codec"])
-    lines = [line for line in _read_lines(args.corpus) if line]
+    lines = [line for line in read_lines(args.corpus) if line]
     if not lines:
         raise DataError(f"{args.corpus}: no molecules")
     vocab = Vocab.load(args.vocab, MOLECULE) if args.vocab else build_vocab(lines, MOLECULE)
@@ -259,7 +251,7 @@ def cmd_rank(args) -> int:
     if bool(args.target_fasta) == bool(args.target_file):
         raise UsageError("rank needs exactly one of --target-fasta or --target-file")
     if args.target_file:
-        lines = _read_lines(args.target_file)
+        lines = read_lines(args.target_file)
         n_records = sum(line.startswith(">") for line in lines)
         if n_records > 1:
             raise DataError(f"{args.target_file}: {n_records} FASTA records; "

@@ -133,7 +133,7 @@ def _molecule_window(payload: list, limit: int, keep_rep: bool, rep, begin, end)
 
 
 def encode_molecule(smiles: str, vocab: Vocab, cfg: CodecConfig,
-                    keep_rep_when_truncated: bool = False) -> np.ndarray:
+                    keep_rep_when_truncated: bool) -> np.ndarray:
     """Encode a molecule string to the ids [mol_max_len] of [REP] [BEGIN]
     chars [END], padded with PAD_ID.
 
@@ -170,7 +170,6 @@ def decode(ids, vocab: Vocab) -> str:
     return "".join(chars)
 
 
-def tokenize_molecule(smiles: str, cfg: CodecConfig | None = None) -> list[str]:
+def tokenize_molecule(smiles: str, cfg: CodecConfig) -> list[str]:
     """Token stream (strings, no padding) for one molecule, truncation included."""
-    cfg = cfg or CodecConfig()
     return _molecule_window(list(smiles), cfg.mol_max_len, False, REP, BEGIN, END)

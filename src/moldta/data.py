@@ -21,6 +21,7 @@ from .model import DtiModel
 from .training import pkd_transform
 
 N_FOLDS = 5
+TEST_FRACTION = 1 / 6  # share of rows held out as test when no fold ids are given
 
 
 @dataclass
@@ -37,13 +38,18 @@ class AffinityRecord:
             raise DataError(f"fold id must lie in 0..{N_FOLDS - 1}, got {self.fold}")
 
 
-def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    """Parse a header-first TSV into per-row dicts; errors carry line numbers."""
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file; an unreadable one is a DataError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Parse a header-first TSV into per-row dicts; errors carry line numbers."""
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split("\t")
@@ -69,7 +75,7 @@ def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ())
     return rows
 
 
-def load_affinity_dataset(path, mode: str = "kiba", raw_kd: bool = False):
+def load_affinity_dataset(path, mode: str, raw_kd: bool):
     """Parse an affinity table; in davis mode with raw_kd, nanomolar values
     are log-transformed on the way in."""
     if mode not in ("kiba", "davis"):
@@ -122,11 +128,11 @@ class FoldSplit:
         return out
 
 
-def split_folds(records, seed: int = 0, test_fraction: float = 1 / 6) -> FoldSplit:
+def split_folds(records, seed: int) -> FoldSplit:
     """Partition records into 5 folds plus test.
 
     Explicit fold ids are honored exactly (rows without one become test);
-    otherwise a seeded shuffle holds out ceil(n * test_fraction) rows as test
+    otherwise a seeded shuffle holds out ceil(n * TEST_FRACTION) rows as test
     and deals the remainder into five nearly equal folds.
     """
     records = list(records)
@@ -138,7 +144,7 @@ def split_folds(records, seed: int = 0, test_fraction: float = 1 / 6) -> FoldSpl
         return FoldSplit(folds=folds, test=test)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
-    n_test = math.ceil(len(records) * test_fraction)
+    n_test = math.ceil(len(records) * TEST_FRACTION)
     test = [records[i] for i in order[:n_test]]
     rest = [records[i] for i in order[n_test:]]
     base, extra = divmod(len(rest), N_FOLDS)

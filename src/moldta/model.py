@@ -18,7 +18,7 @@ from .checkpoint import Checkpoint
 from .codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, Vocab
 from .errors import DataError
 from .interaction import InteractionConfig, InteractionWeights, predict_affinity_batch
-from .protein_cnn import ProteinCnnConfig, ProteinCnnWeights, protein_forward_ids
+from .protein_cnn import ProteinCnnConfig, ProteinCnnWeights, protein_forward_ids, receptive_field
 from .transformer import TransformerConfig, TransformerWeights
 
 # Per-dataset presets: protein filter length, dense stack, learning rate.
@@ -53,6 +53,9 @@ class ModelConfig:
         keep_rep_for(self.truncation_pooling)
         if self.codec.mol_max_len != self.transformer.max_len:
             raise ValueError("codec mol_max_len must equal transformer max_len")
+        if self.codec.prot_max_len < receptive_field(self.protein):
+            raise ValueError(f"codec prot_max_len {self.codec.prot_max_len} is shorter "
+                             f"than the protein receptive field {receptive_field(self.protein)}")
 
     @property
     def keep_rep_when_truncated(self) -> bool:

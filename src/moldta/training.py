@@ -142,8 +142,9 @@ class TrainRunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if min(self.batch_size, self.steps, self.epochs) <= 0:
             raise ValueError("batch_size, steps and epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1]")
         if self.log_interval < 1:
@@ -216,9 +217,8 @@ class PretrainResult:
     payload_baseline: float
 
 
-def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
-             run: TrainRunConfig, codec_cfg: CodecConfig | None = None,
-             heldout=None, keep_rep_when_truncated: bool = True,
+def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig, run: TrainRunConfig,
+             codec_cfg: CodecConfig, heldout=None, keep_rep_when_truncated: bool = True,
              checkpoint_dir=None, log=None, step_monitor=None) -> PretrainResult:
     """Train the molecule encoder on masked-token prediction.
 
@@ -227,7 +227,6 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig,
     the held-out masked-token accuracy (None without a heldout set).
     step_monitor(step, weights), when given, runs after every update.
     """
-    codec_cfg = codec_cfg or CodecConfig(mol_max_len=transformer_cfg.max_len)
     if codec_cfg.mol_max_len != transformer_cfg.max_len:
         raise ValueError("codec mol_max_len must equal transformer max_len")
     corpus_ids = np.array([encode_molecule(s, vocab, codec_cfg, keep_rep_when_truncated)
@@ -291,7 +290,7 @@ class EncodedRecord:
 
 
 def encode_affinity_data(records, mol_vocab: Vocab, prot_vocab: Vocab,
-                         codec_cfg: CodecConfig, keep_rep_when_truncated: bool = True):
+                         codec_cfg: CodecConfig, keep_rep_when_truncated: bool):
     """Encode (smiles, fasta, affinity) records once, caching duplicates."""
     mol_cache, prot_cache = {}, {}
     out = []

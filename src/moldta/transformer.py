@@ -42,13 +42,16 @@ class TransformerConfig:
         return self.hidden // self.num_heads
 
 
-def trunc_normal(shape, rng, std: float = 0.02) -> np.ndarray:
-    """Zero-mean Gaussian truncated at +/-2 std, re-drawing the tails."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+INIT_STD = 0.02  # standard deviation of every trainable weight matrix at init
+
+
+def trunc_normal(shape, rng) -> np.ndarray:
+    """Zero-mean Gaussian of std INIT_STD truncated at +/-2 std, re-drawing the tails."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * INIT_STD
     return out
 
 

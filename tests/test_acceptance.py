@@ -68,7 +68,7 @@ def test_criterion_2_masking_statistics():
         corpus = ["".join(rng.choice(alphabet, size=payload_len)) for _ in range(200)]
         vocab = build_vocab(corpus, MOLECULE)
         cfg = CodecConfig(mol_max_len=payload_len + 4)
-        ids = np.stack([encode_molecule(s, vocab, cfg) for s in corpus])
+        ids = np.stack([encode_molecule(s, vocab, cfg, False) for s in corpus])
         special = np.array(sorted(vocab.id_of(t) for t in vocab.specials))
         mask_id = vocab.id_of("[MASK]")
 
@@ -119,7 +119,7 @@ def test_criterion_3_end_to_end_gradient_integrity():
             b.data = bias_rng.normal(scale=0.3, size=b.data.shape)
 
         codec = cfg.codec
-        mols = [encode_molecule(s, mol_vocab, codec) for s in ("CNO", "c=O")]
+        mols = [encode_molecule(s, mol_vocab, codec, False) for s in ("CNO", "c=O")]
         prots = [encode_protein("ACDEGACDEGACDEGACDEG", prot_vocab, codec),
                  encode_protein("GEDCAGEDCAGEDCAGEDCA", prot_vocab, codec)]
         mol_ids = np.stack(mols)
@@ -151,7 +151,7 @@ def test_criterion_4_attention_invariants():
                                 hidden=32, intermediate=64, max_len=36)
         w = TransformerWeights(cfg, rng)
         codec = CodecConfig(mol_max_len=36)
-        encs = [encode_molecule(s, vocab, codec) for s in corpus[:8]]
+        encs = [encode_molecule(s, vocab, codec, False) for s in corpus[:8]]
         ids = np.stack(encs)
         mask = ids != PAD_ID
 
@@ -335,7 +335,7 @@ def test_criterion_8_finetune_overfit():
             protein=ProteinCnnConfig(vocab_size=len(prot_vocab), embed_dim=8,
                                      filter_lengths=(4, 4), filter_counts=(6, 8)),
             interaction=InteractionConfig(dense_sizes=(32,), dropout=0.0))
-        encoded = encode_affinity_data(records, mol_vocab, prot_vocab, codec)
+        encoded = encode_affinity_data(records, mol_vocab, prot_vocab, codec, True)
         # full-batch epochs: one optimizer step per epoch, 2000 steps total
         run = TrainRunConfig(seed=3, batch_size=32, epochs=2000, learning_rate=8e-4,
                              warmup_fraction=0.0025)

@@ -42,17 +42,17 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 
 def test_softmax_uniform_on_equal_logits():
-    out = ad.softmax_rows(Tensor(np.zeros(3)))
+    out = ad.softmax_rows(Tensor(np.zeros(3)), 0.0)
     np.testing.assert_allclose(out.data, np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_softmax_stable_under_large_shift():
-    out = ad.softmax_rows(Tensor(np.array([1000.0, 1000.0])))
+    out = ad.softmax_rows(Tensor(np.array([1000.0, 1000.0])), 0.0)
     np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-12)
 
 
 def test_softmax_matches_high_precision_oracle():
-    out = ad.softmax_rows(Tensor(np.array([1.0, 2.0, 3.0])))
+    out = ad.softmax_rows(Tensor(np.array([1.0, 2.0, 3.0])), 0.0)
     np.testing.assert_allclose(out.data, SOFTMAX_123, atol=1e-6)
 
 
@@ -108,7 +108,7 @@ def test_layer_norm_zero_gain_yields_bias():
 
 
 def test_conv1d_sliding_sum():
-    out = ad.conv1d(Tensor(np.ones((5, 1))), Tensor(np.ones((2, 1, 1))))
+    out = ad.conv1d(Tensor(np.ones((5, 1))), Tensor(np.ones((2, 1, 1))), Tensor(np.zeros(1)))
     np.testing.assert_allclose(out.data, np.full((4, 1), 2.0))
 
 
@@ -116,13 +116,13 @@ def test_conv1d_delta_filter_is_identity():
     x = RNG.normal(size=(9, 3))
     delta = np.zeros((4, 3, 3))
     delta[0] = np.eye(3)  # picks out the window's first row
-    out = ad.conv1d(Tensor(x), Tensor(delta))
+    out = ad.conv1d(Tensor(x), Tensor(delta), Tensor(np.zeros(3)))
     np.testing.assert_allclose(out.data, x[:6], atol=1e-12)
 
 
 def test_conv1d_too_short_errors():
     with pytest.raises(ValueError, match="exceeds sequence length"):
-        ad.conv1d(Tensor(np.ones((3, 1))), Tensor(np.ones((5, 1, 1))))
+        ad.conv1d(Tensor(np.ones((3, 1))), Tensor(np.ones((5, 1, 1))), Tensor(np.zeros(1)))
 
 
 def test_max_pool_columnwise_max():
@@ -183,14 +183,14 @@ def test_embedding_lookup_out_of_range():
         ad.embedding_lookup(table, np.array([4]))
 
 
-def composed_embedding_conv1d(table, ids, filters, bias=None):
+def composed_embedding_conv1d(table, ids, filters, bias):
     return ad.conv1d(ad.embedding_lookup(table, ids), filters, bias)
 
 
 def test_embedding_conv1d_matches_lookup_then_conv1d():
     table, filters, bias = (Tensor(RNG.normal(size=shape)) for shape in ((5, 4), (3, 4, 6), (6,)))
     ids = np.array([[0, 3, 4, 1, 0, 0, 0], [2, 2, 0, 4, 1, 3, 0]])  # id 0 is [PAD]
-    for b in (bias, None):
+    for b in (bias, Tensor(np.zeros(6))):
         fused = ad.embedding_conv1d(table, ids, filters, b)
         composed = composed_embedding_conv1d(table, ids, filters, b)
         assert fused.data.shape == composed.data.shape == (2, 5, 6)
@@ -227,10 +227,11 @@ def test_embedding_conv1d_agrees_with_the_composed_ops(case, seed):
 ])
 def test_embedding_conv1d_rejects_what_the_composed_ops_reject(ids, table_width, filter_shape):
     table, filters = Tensor(np.ones((4, table_width))), Tensor(np.ones(filter_shape))
+    bias = Tensor(np.zeros(filter_shape[2]))
     with pytest.raises(ValueError) as composed:
-        composed_embedding_conv1d(table, ids, filters)
+        composed_embedding_conv1d(table, ids, filters, bias)
     with pytest.raises(ValueError) as fused:
-        ad.embedding_conv1d(table, ids, filters)
+        ad.embedding_conv1d(table, ids, filters, bias)
     assert str(fused.value) == str(composed.value)
 
 
@@ -363,7 +364,7 @@ def test_no_grad_records_no_tape_and_keeps_values_bitwise():
 
     def build():
         h = ad.layer_norm(ad.gelu(ad.matmul(x, w)), gain, bias)
-        return ad.max_pool_over_length(ad.softmax_rows(ad.add(h, x)))
+        return ad.max_pool_over_length(ad.softmax_rows(ad.add(h, x), 0.0))
 
     taped = build()
     with ad.no_grad():
@@ -438,7 +439,7 @@ def test_grad_matmul_batched_broadcast():
 
 def test_grad_softmax_rows():
     weights = RNG.normal(size=(3, 5))
-    check_gradients(lambda t: ad.reduce_sum(ad.multiply(ad.softmax_rows(t[0]),
+    check_gradients(lambda t: ad.reduce_sum(ad.multiply(ad.softmax_rows(t[0], 0.0),
                                                         Tensor(weights))),
                     [RNG.normal(size=(3, 5))])
 
@@ -476,7 +477,7 @@ def test_grad_conv1d():
 
 
 def test_grad_conv1d_batched():
-    check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.conv1d(t[0], t[1]))),
+    check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.conv1d(t[0], t[1], Tensor(np.zeros(3))))),
                     [RNG.normal(size=(2, 6, 2)), RNG.normal(size=(3, 2, 3))])
 
 
@@ -529,8 +530,9 @@ def test_grad_embedding_conv1d(with_bias):
     arrays = [RNG.normal(size=(4, 3)), RNG.normal(size=(3, 3, 2))]
     if with_bias:
         arrays.append(RNG.normal(size=(2,)))
-    check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.embedding_conv1d(t[0], ids, *t[1:]))),
-                    arrays)
+    zero_bias = Tensor(np.zeros(2))
+    check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.embedding_conv1d(
+        t[0], ids, t[1], t[2] if with_bias else zero_bias))), arrays)
 
 
 def test_grad_softmax_cross_entropy():

@@ -79,7 +79,7 @@ def test_traced_forward_records_layer_spans(moldta):
     prot_vocab = codec.build_vocab(["MKTAYIAKQR"], codec.PROTEIN)
     cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
     model = moldta.model.DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
-    mol = codec.encode_molecule("CCO", mol_vocab, cfg.codec)
+    mol = codec.encode_molecule("CCO", mol_vocab, cfg.codec, False)
     prot = codec.encode_protein("MKTAYIAKQR", prot_vocab, cfg.codec)
     before = attribute_snapshot(moldta)
     tracer, patches = tracing.Tracer(), tracing.Patches()
@@ -105,7 +105,7 @@ def test_traced_finetune_records_dropout_and_backward_spans(moldta):
     mol_vocab = codec.build_vocab(smiles, codec.MOLECULE)
     prot_vocab = codec.build_vocab(prots, codec.PROTEIN)
     cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
-    train = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec),
+    train = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec, False),
                                     codec.encode_protein(prots[i % 2], prot_vocab, cfg.codec),
                                     10.0 + 0.1 * i)
              for i, s in enumerate(smiles)]
@@ -141,6 +141,7 @@ def test_traced_pretrain_masks_once_per_batch_and_counts_labels(moldta):
     cfg = moldta.transformer.TransformerConfig(vocab_size=len(vocab), num_layers=1,
                                                num_heads=2, hidden=8, intermediate=12,
                                                max_len=12)
+    codec_cfg = codec.CodecConfig(mol_max_len=12)
     run = training.TrainRunConfig(seed=3, batch_size=4, steps=3)
     masker = training.make_masked_example
     produced = []
@@ -155,11 +156,13 @@ def test_traced_pretrain_masks_once_per_batch_and_counts_labels(moldta):
     try:
         patches.set(training, "make_masked_example", counting_masker)
         tracing.install_layers(tracer, patches, moldta)
-        traced = training.pretrain(corpus, vocab, cfg, run, heldout=heldout)
+        traced = training.pretrain(corpus, vocab, cfg, run, codec_cfg=codec_cfg,
+                                   heldout=heldout)
     finally:
         patches.restore()
     assert_restored(before)
-    plain = training.pretrain(corpus, vocab, cfg, run, heldout=heldout)
+    plain = training.pretrain(corpus, vocab, cfg, run, codec_cfg=codec_cfg,
+                              heldout=heldout)
     assert traced.losses == plain.losses
     assert traced.heldout_accuracy == plain.heldout_accuracy
     chunks = math.ceil(len(heldout) / training.EVAL_CHUNK)
@@ -180,7 +183,7 @@ def test_step_clock_counts_optimizer_steps_and_restores(moldta):
     mol_vocab = codec.build_vocab(smiles, codec.MOLECULE)
     prot_vocab = codec.build_vocab(prots, codec.PROTEIN)
     cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
-    train = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec),
+    train = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec, False),
                                     codec.encode_protein(prots[i % 2], prot_vocab, cfg.codec),
                                     10.0 + 0.1 * i)
              for i, s in enumerate(smiles)]
@@ -212,7 +215,7 @@ def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
     mol_vocab = codec.build_vocab(smiles, codec.MOLECULE)
     prot_vocab = codec.build_vocab(prots, codec.PROTEIN)
     cfg = tiny_kiba_cfg(moldta, mol_vocab, prot_vocab)
-    records = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec),
+    records = [training.EncodedRecord(codec.encode_molecule(s, mol_vocab, cfg.codec, False),
                                       codec.encode_protein(prots[i % 2], prot_vocab,
                                                            cfg.codec),
                                       10.0 + 0.1 * i)

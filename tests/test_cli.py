@@ -153,6 +153,33 @@ def test_finetune_then_evaluate_and_rank(workspace, capsys):
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "2", "3"]
 
 
+def test_pretrain_checkpoint_interval_writes_periodic_snapshots(workspace):
+    cfg = workspace / "periodic.txt"
+    cfg.write_text(tiny_config_with("train.checkpoint_interval = 5\n"))
+    out = workspace / "pre"
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
+                 "--out", str(out), "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in out.glob("pretrain_step*.ckpt")) == [
+        "pretrain_step10.ckpt", "pretrain_step15.ckpt", "pretrain_step5.ckpt"]
+    assert (out / "pretrain_step15.ckpt").read_bytes() == (out / "pretrain.ckpt").read_bytes()
+
+
+def test_rank_with_no_encodable_candidate_prints_only_the_header(workspace, capsys):
+    fit_out = workspace / "fit"
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(fit_out), "--config", str(workspace / "config.txt")]) == 0
+    candidates = workspace / "unencodable.tsv"
+    candidates.write_text("id\tname\tsmiles\n7\tSeven\tCCX\n8\tEight\tXO\n")
+    capsys.readouterr()  # drop the training logs
+    assert main(["rank", "--checkpoint", str(fit_out / "model.ckpt"),
+                 "--candidates", str(candidates), "--target-fasta", PROTS[0]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "rank\tcompound_id\tcompound_name\tscore\n"
+    warnings = captured.err.splitlines()
+    assert warnings[0] == "warning: 2 candidate(s) skipped"
+    assert sorted(line.split(":")[0].strip() for line in warnings[1:]) == ["7", "8"]
+
+
 def test_truncated_checkpoint_exits_two(workspace, capsys):
     blob = Checkpoint(meta={"kind": "dti"}, tensors={"w": np.ones(3)}).to_bytes()
     ckpt = workspace / "cut.ckpt"
@@ -192,6 +219,16 @@ def test_rank_checkpoint_with_unknown_config_field_exits_two(workspace, capsys):
                                   "mol_vocab": [], "prot_vocab": []}) == 2
     err = capsys.readouterr().err
     assert "data error: checkpoint model config:" in err and "rotary" in err
+
+
+def test_rank_checkpoint_with_protein_cap_below_receptive_field_exits_two(workspace, capsys):
+    model = asdict(ModelConfig.for_mode("kiba", 40, 30))
+    model["codec"]["prot_max_len"] = 4
+    assert _rank_exit(workspace, {"kind": "dti", "model": model,
+                                  "mol_vocab": [], "prot_vocab": []}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: codec prot_max_len 4 is shorter than the protein "
+                          "receptive field 34")
 
 
 def test_warm_start_fills_in_only_an_unset_mol_max_len(workspace, capsys):
@@ -234,6 +271,8 @@ def test_warm_start_without_codec_exits_two(workspace, capsys):
     ("train.log_interval = 0\n", "log_interval must be at least 1"),
     ("train.checkpoint_interval = -1\n", "checkpoint_interval must be non-negative"),
     ("train.seed = -1\n", "seed must be non-negative"),
+    ("train.learning_rate = nan\n", "learning rate must be finite and positive, got nan"),
+    ("train.learning_rate = inf\n", "learning rate must be finite and positive, got inf"),
 ])
 def test_config_value_failing_validation_exits_one(workspace, capsys, command, lines, message):
     cfg = workspace / "invalid.txt"
@@ -244,6 +283,25 @@ def test_config_value_failing_validation_exits_one(workspace, capsys, command, l
                  "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: invalid config: ") and message in err
+    assert not (workspace / "out").exists()
+
+
+def test_finetune_protein_cap_below_the_receptive_field_exits_one(workspace, capsys):
+    # filters 3,3 see 5 positions, so no protein could pass a cap of 4
+    cfg = workspace / "short.txt"
+    cfg.write_text(tiny_config_with("model.prot_max_len = 4\n"))
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "out"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: invalid config: ")
+    assert "prot_max_len 4 is shorter than the protein receptive field 5" in err
+    assert not (workspace / "out").exists()
+
+
+def test_finetune_fold_out_of_range_exits_one(workspace, capsys):
+    assert main(["finetune", "--data", str(workspace / "data.tsv"), "--fold", "5",
+                 "--out", str(workspace / "out"), "--config", str(workspace / "config.txt")]) == 1
+    assert capsys.readouterr().err == "usage error: --fold must lie in 0..4\n"
     assert not (workspace / "out").exists()
 
 

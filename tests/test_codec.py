@@ -46,7 +46,7 @@ def test_pad_has_id_zero_and_specials_unique():
 
 def test_encode_molecule_paper_example_nine_tokens():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    enc = encode_molecule("CN=C=O", vocab, CFG)
+    enc = encode_molecule("CN=C=O", vocab, CFG, False)
     tokens = [vocab.tokens[i] for i in enc[:9]]
     assert tokens == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
     assert enc.shape == (100,)
@@ -56,7 +56,7 @@ def test_encode_molecule_paper_example_nine_tokens():
 
 def test_encode_molecule_empty_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    enc = encode_molecule("", vocab, CFG)
+    enc = encode_molecule("", vocab, CFG, False)
     assert [vocab.tokens[i] for i in enc[:3]] == [REP, BEGIN, END]
     assert (enc != PAD_ID).sum() == 3
     assert (enc[3:] == PAD_ID).all()
@@ -65,7 +65,7 @@ def test_encode_molecule_empty_payload():
 def test_encode_molecule_head_tail_truncation():
     payload = "C" * 50 + "N" * 100 + "O" * 50
     vocab = build_vocab([payload], MOLECULE)
-    enc = encode_molecule(payload, vocab, CFG)
+    enc = encode_molecule(payload, vocab, CFG, False)
     assert (enc != PAD_ID).all()  # 100 kept characters, no padding
     kept = decode(enc, vocab)
     assert kept == payload[50:150]  # middle window
@@ -85,18 +85,18 @@ def test_encode_molecule_truncation_keep_rep_variant():
 def test_encode_molecule_boundary_decorated_length():
     # payload of exactly mol_max_len - 3 still fits undecorated
     vocab = build_vocab(["C"], MOLECULE)
-    enc = encode_molecule("C" * 97, vocab, CFG)
+    enc = encode_molecule("C" * 97, vocab, CFG, False)
     assert vocab.id_of(BEGIN) in enc and vocab.id_of(END) in enc
     assert (enc != PAD_ID).sum() == 100
     # one more character forces truncation
-    enc2 = encode_molecule("C" * 98, vocab, CFG)
+    enc2 = encode_molecule("C" * 98, vocab, CFG, False)
     assert vocab.id_of(BEGIN) not in enc2 and vocab.id_of(END) not in enc2
 
 
 def test_encode_molecule_unknown_character_names_it():
     vocab = build_vocab(["CC"], MOLECULE)
     with pytest.raises(DataError, match=r"'N' at position 1"):
-        encode_molecule("CN", vocab, CFG)
+        encode_molecule("CN", vocab, CFG, False)
 
 
 def test_encode_protein_basic():
@@ -123,7 +123,7 @@ def test_encode_protein_truncates_to_prefix():
 
 def test_decode_round_trips():
     mol_vocab = build_vocab(["CN=C=O"], MOLECULE)
-    assert decode(encode_molecule("CN=C=O", mol_vocab, CFG), mol_vocab) == "CN=C=O"
+    assert decode(encode_molecule("CN=C=O", mol_vocab, CFG, False), mol_vocab) == "CN=C=O"
     prot_vocab = build_vocab(["MKT"], PROTEIN)
     assert decode(encode_protein("MKT", prot_vocab, CFG), prot_vocab) == "MKT"
 
@@ -146,7 +146,7 @@ def test_round_trip_random_non_truncated(seed=4):
               for _ in range(200)]
     vocab = build_vocab(corpus, MOLECULE)
     for s in corpus:
-        enc = encode_molecule(s, vocab, CFG)
+        enc = encode_molecule(s, vocab, CFG, False)
         assert vocab.id_of(BEGIN) in enc and vocab.id_of(END) in enc
         assert decode(enc, vocab) == s
         assert enc.shape == (CFG.mol_max_len,)
@@ -159,7 +159,7 @@ def test_boundary_tokens_absent_iff_decorated_length_exceeds_cap():
     vocab = build_vocab(["CNO"], MOLECULE)
     for n in [0, 5, 96, 97, 98, 100, 150, 400]:
         s = "".join(rng.choice(list("CNO"), size=n))
-        enc = encode_molecule(s, vocab, CFG)
+        enc = encode_molecule(s, vocab, CFG, False)
         over_cap = n + 3 > CFG.mol_max_len
         assert (vocab.id_of(BEGIN) not in enc) == over_cap
         assert (vocab.id_of(END) not in enc) == over_cap
@@ -169,7 +169,7 @@ def test_encoders_return_int64_id_arrays_of_the_cap_length():
     cfg = CodecConfig(mol_max_len=12, prot_max_len=7)
     mol_vocab, prot_vocab = build_vocab(["CN=C=O"], MOLECULE), build_vocab(["MKT"], PROTEIN)
     # under the cap (padded) and over it (truncated)
-    for enc, cap in ((encode_molecule("CN=C=O", mol_vocab, cfg), 12),
+    for enc, cap in ((encode_molecule("CN=C=O", mol_vocab, cfg, False), 12),
                      (encode_molecule("C" * 30, mol_vocab, cfg, True), 12),
                      (encode_protein("MKT", prot_vocab, cfg), 7),
                      (encode_protein("MKT" * 5, prot_vocab, cfg), 7)):
@@ -179,8 +179,8 @@ def test_encoders_return_int64_id_arrays_of_the_cap_length():
 
 def test_determinism_identical_bytes():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    a = encode_molecule("CN=C=O", vocab, CFG)
-    b = encode_molecule("CN=C=O", vocab, CFG)
+    a = encode_molecule("CN=C=O", vocab, CFG, False)
+    b = encode_molecule("CN=C=O", vocab, CFG, False)
     assert a.tobytes() == b.tobytes()
 
 
@@ -208,8 +208,8 @@ def test_codec_config_validation():
 
 
 def test_tokenize_molecule_stream():
-    assert tokenize_molecule("CN=C=O") == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
-    stream = tokenize_molecule("C" * 200)
+    assert tokenize_molecule("CN=C=O", CFG) == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
+    stream = tokenize_molecule("C" * 200, CFG)
     assert len(stream) == 100 and REP not in stream and BEGIN not in stream
 
 

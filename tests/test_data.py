@@ -32,7 +32,7 @@ def test_load_well_formed_dataset(tmp_path):
                  f"CCO\t{PROT}\t5.0\n"
                  f"CN=C=O\t{PROT}\t6.5\n"
                  f"CCN\t{PROT}\t4.25\n")
-    records = load_affinity_dataset(path)
+    records = load_affinity_dataset(path, mode="kiba", raw_kd=False)
     assert len(records) == 3
     assert records[1].affinity == 6.5
     assert records[0].fold is None
@@ -43,7 +43,7 @@ def test_load_bad_affinity_names_line(tmp_path):
                  "smiles\tfasta\taffinity\n"
                  f"CCO\t{PROT}\tabc\n")
     with pytest.raises(DataError, match="line 2"):
-        load_affinity_dataset(path)
+        load_affinity_dataset(path, mode="kiba", raw_kd=False)
 
 
 def test_load_bad_fold_id(tmp_path):
@@ -51,7 +51,7 @@ def test_load_bad_fold_id(tmp_path):
                  "smiles\tfasta\taffinity\tfold\n"
                  f"CCO\t{PROT}\t5.0\t7\n")
     with pytest.raises(DataError, match="fold"):
-        load_affinity_dataset(path)
+        load_affinity_dataset(path, mode="kiba", raw_kd=False)
 
 
 def test_load_davis_raw_kd_transforms(tmp_path):
@@ -67,12 +67,13 @@ def test_load_davis_raw_kd_transforms(tmp_path):
 def test_load_missing_column(tmp_path):
     path = write(tmp_path, "data.tsv", "smiles\taffinity\nCCO\t5.0\n")
     with pytest.raises(DataError, match="missing columns"):
-        load_affinity_dataset(path)
+        load_affinity_dataset(path, mode="kiba", raw_kd=False)
 
 
 @pytest.mark.parametrize("header, row, load", [
     ("affinity\tprediction\taffinity", "1.0\t1.5\t9.0", load_predictions),
-    ("smiles\tfasta\taffinity\tsmiles", f"CCO\t{PROT}\t5.0\tCCN", load_affinity_dataset),
+    ("smiles\tfasta\taffinity\tsmiles", f"CCO\t{PROT}\t5.0\tCCN",
+     lambda path: load_affinity_dataset(path, mode="kiba", raw_kd=False)),
     ("id\tname\tsmiles\tname", "11\tEthanol\tCCO\tMethanol", load_candidates),
 ], ids=["predictions", "affinity", "candidates"])
 def test_load_header_repeating_a_column(tmp_path, header, row, load):
@@ -87,7 +88,7 @@ def test_load_ragged_row(tmp_path):
                  "smiles\tfasta\taffinity\n"
                  f"CCO\t{PROT}\n")
     with pytest.raises(DataError, match="line 2"):
-        load_affinity_dataset(path)
+        load_affinity_dataset(path, mode="kiba", raw_kd=False)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_model_config_validation():
 
 def test_forward_shapes_and_interaction_width():
     model, codec, mol_vocab, prot_vocab = tiny_setup()
-    mol = encode_molecule("CCO", mol_vocab, codec)
+    mol = encode_molecule("CCO", mol_vocab, codec, False)
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     pred = model.forward_ids(mol[None], prot[None])
     assert pred.data.shape == (1,)
@@ -82,7 +82,7 @@ def test_forward_shapes_and_interaction_width():
 
 def test_predict_matches_forward_per_pair():
     model, codec, mol_vocab, prot_vocab = tiny_setup()
-    mols = [encode_molecule(s, mol_vocab, codec) for s in ("CCO", "CN=C=O", "c1ccccc1")]
+    mols = [encode_molecule(s, mol_vocab, codec, False) for s in ("CCO", "CN=C=O", "c1ccccc1")]
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     batch = model.predict(mols, [prot] * 3, batch_size=1)
     for i, mol in enumerate(mols):
@@ -120,7 +120,7 @@ def test_predict_reuses_tower_only_for_equal_batches_bitwise(monkeypatch, batch_
     # alternating, then repeated, then distinct, with a short last batch at 3
     prots = [a, b, a, b, a, b, c, c, c, c, c, c, a, b]
     smiles = ("CCO", "CN=C=O", "c1ccccc1", "OCC", "C=O")
-    mols = [encode_molecule(smiles[i % len(smiles)], mol_vocab, codec)
+    mols = [encode_molecule(smiles[i % len(smiles)], mol_vocab, codec, False)
             for i in range(len(prots))]
     expected = []
     for start in range(0, len(mols), batch_size):
@@ -137,7 +137,7 @@ def test_predict_batch_size_changes_scores_only_within_bound():
     # different order; 1e-19 to 1e-18 measured on this model
     model, codec, mol_vocab, prot_vocab = tiny_setup(seed=4)
     prots = [encode_protein(PROTS[i % 3], prot_vocab, codec) for i in range(11)]
-    mols = [encode_molecule(("CCO", "CN=C=O", "c1ccccc1", "OCC")[i % 4], mol_vocab, codec)
+    mols = [encode_molecule(("CCO", "CN=C=O", "c1ccccc1", "OCC")[i % 4], mol_vocab, codec, False)
             for i in range(11)]
     one = model.predict(mols, prots, batch_size=1)
     eight = model.predict(mols, prots, batch_size=8)
@@ -153,7 +153,7 @@ def test_from_checkpoint_draws_no_random_weights(monkeypatch):
 
     monkeypatch.setattr(transformer_module, "trunc_normal", refuse)
     restored = DtiModel.from_checkpoint(ckpt)
-    mol = encode_molecule("CCO", mol_vocab, codec)
+    mol = encode_molecule("CCO", mol_vocab, codec, False)
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     assert restored.predict([mol], [prot]).tobytes() == model.predict([mol], [prot]).tobytes()
 
@@ -202,7 +202,7 @@ def test_checkpoint_round_trip_is_bitwise(model, meta):
 
 def test_checkpoint_round_trip_forward_bitwise(tmp_path):
     model, codec, mol_vocab, prot_vocab = tiny_setup(seed=3)
-    mol = encode_molecule("CN=C=O", mol_vocab, codec)
+    mol = encode_molecule("CN=C=O", mol_vocab, codec, False)
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     before = model.predict([mol], [prot])
     path = tmp_path / "dti.ckpt"
@@ -225,7 +225,7 @@ def test_mean_pooling_mode_runs():
                       protein=model.cfg.protein, interaction=model.cfg.interaction,
                       truncation_pooling="mean")
     mean_model = DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
-    mol = encode_molecule("CCO", mol_vocab, codec)
+    mol = encode_molecule("CCO", mol_vocab, codec, False)
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     pred = mean_model.predict([mol], [prot])
     assert np.isfinite(pred).all()

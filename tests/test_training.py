@@ -62,7 +62,7 @@ class Rec:
 def cn_c_o_batch():
     """Vocab and the one-row id batch of CN=C=O at length 16: payload at 2..7."""
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    return vocab, encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16))[None]
+    return vocab, encode_molecule("CN=C=O", vocab, CodecConfig(mol_max_len=16), False)[None]
 
 
 def draws(fill, at=(), shape=(1, 16)):
@@ -126,12 +126,12 @@ def test_masking_guaranteed_one_fallback():
 
 def test_masking_requires_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
-    seq = encode_molecule("", vocab, CodecConfig(mol_max_len=16))
+    seq = encode_molecule("", vocab, CodecConfig(mol_max_len=16), False)
     with pytest.raises(ValueError, match="payload"):
         make_masked_example(seq[None], vocab, np.random.default_rng(0))
     # one row without payload fails the whole batch
     vocab, ids = mixed_batch()
-    empty = encode_molecule("", vocab, CodecConfig(mol_max_len=10))
+    empty = encode_molecule("", vocab, CodecConfig(mol_max_len=10), False)
     with pytest.raises(ValueError, match="payload"):
         make_masked_example(np.vstack([ids[:3], empty, ids[3:]]), vocab,
                             np.random.default_rng(0))
@@ -207,7 +207,7 @@ class NothingSelected:
 def test_masking_fallback_is_uniform_over_each_rows_payload():
     vocab = build_vocab(["CN=C=O"], MOLECULE)
     cfg = CodecConfig(mol_max_len=10)
-    rows = np.stack([encode_molecule(s, vocab, cfg) for s in ("CCO", "CN=C=O")])
+    rows = np.stack([encode_molecule(s, vocab, cfg, False) for s in ("CCO", "CN=C=O")])
     ids = np.tile(rows, (3000, 1))
     example = make_masked_example(ids, vocab, NothingSelected(5))
     rows, positions, _ = example.labels.T
@@ -236,7 +236,7 @@ def test_masking_statistics_and_special_token_immunity():
     corpus = ["".join(rng.choice(alphabet, size=50)) for _ in range(60)]
     vocab = build_vocab(corpus, MOLECULE)
     cfg = CodecConfig(mol_max_len=60)
-    ids = np.stack([encode_molecule(s, vocab, cfg) for s in corpus])
+    ids = np.stack([encode_molecule(s, vocab, cfg, False) for s in corpus])
     special = np.array(sorted(vocab.id_of(t) for t in vocab.specials))
     mask_id = vocab.id_of(MASK)
 
@@ -392,7 +392,7 @@ def test_untrained_accuracy_near_uniform_baseline():
     vocab = build_vocab(corpus, MOLECULE)
     cfg = tiny_transformer_cfg(len(vocab))
     weights = TransformerWeights(cfg, np.random.default_rng(0))
-    encs = [encode_molecule(s, vocab, CodecConfig(mol_max_len=16)) for s in corpus]
+    encs = [encode_molecule(s, vocab, CodecConfig(mol_max_len=16), False) for s in corpus]
     _, acc = masked_token_eval(masked_eval_batches(encs, vocab, seed=5), weights)
     baseline = 1.0 / (len(vocab) - len(vocab.specials))
     assert acc < 3 * baseline  # untrained stays near random
@@ -470,7 +470,7 @@ def tiny_dti_setup(dropout=0.0):
         protein=ProteinCnnConfig(vocab_size=len(prot_vocab), embed_dim=8,
                                  filter_lengths=(4, 4), filter_counts=(6, 8)),
         interaction=InteractionConfig(dense_sizes=(16,), dropout=dropout))
-    encoded = encode_affinity_data(records, mol_vocab, prot_vocab, codec)
+    encoded = encode_affinity_data(records, mol_vocab, prot_vocab, codec, True)
     return records, encoded, cfg, mol_vocab, prot_vocab
 
 
@@ -503,6 +503,16 @@ def test_finetune_overfit_loss_decreases_early():
     curve = np.array([h["train_mse"] for h in result.history[:100]])
     ma = np.convolve(curve, np.ones(5) / 5, mode="valid")
     assert (np.diff(ma) <= 1e-9).all(), "5-step moving average must not increase"
+
+
+def test_finetune_numerical_blowup_aborts_with_epoch_diagnostic():
+    # the first update at an absurd rate overflows the next forward pass
+    _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup()
+    run = TrainRunConfig(seed=2, batch_size=4, epochs=2, learning_rate=1e150,
+                         warmup_fraction=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="fine-tuning epoch"):
+            finetune(encoded, encoded, cfg, run, mol_vocab, prot_vocab)
 
 
 def test_finetune_deterministic():
@@ -583,7 +593,7 @@ def test_encode_affinity_data_caches_duplicates():
     mol_vocab = build_vocab(["CCO"], MOLECULE)
     prot_vocab = build_vocab(PROTS[:1], PROTEIN)
     encoded = encode_affinity_data(records, mol_vocab, prot_vocab,
-                                   CodecConfig(mol_max_len=16, prot_max_len=40))
+                                   CodecConfig(mol_max_len=16, prot_max_len=40), True)
     assert encoded[0].mol is encoded[1].mol
     assert encoded[0].prot is encoded[1].prot
     assert encoded[0].affinity != encoded[1].affinity

@@ -71,7 +71,7 @@ def test_embed_encoded_molecule_as_batch_of_one():
     vocab = build_vocab(["CN=O"], MOLECULE)
     cfg = CodecConfig(mol_max_len=8)
     w = tiny_weights()
-    seq = encode_molecule("CN=O", vocab, cfg)
+    seq = encode_molecule("CN=O", vocab, cfg, False)
     out = mt.embed_ids(seq[None], w)
     assert out.data.shape == (1, 8, 4)
     np.testing.assert_allclose(out.data[0, 0], w.mte.data[seq[0]] + w.pe.data[0])
@@ -270,7 +270,7 @@ def test_end_to_end_gradient_check_tiny():
 
 def test_init_statistics_truncated_gaussian():
     rng = np.random.default_rng(0)
-    sample = mt.trunc_normal((200, 200), rng, std=0.02)
+    sample = mt.trunc_normal((200, 200), rng)
     assert np.abs(sample).max() <= 0.04 + 1e-12
     assert abs(sample.std() - 0.019) < 0.002  # slightly under std from truncation
     w = tiny_weights()

@@ -9,8 +9,11 @@ runs pretrain, warm-started kiba and cold davis finetune, evaluate
 --checkpoint, rank with one skipped candidate (by --target-fasta and by a
 one-record --target-file) and pretrain reusing the saved vocabulary; once
 it runs tokenize and two inputs that are data errors (a vocabulary of the
-wrong kind, a two-record target file). Every command runs with relative
-paths, so its output does not depend on where the directory is.
+wrong kind, a two-record target file). At seed 1 it also runs pretrain
+(with periodic snapshots), warm-started kiba finetune and rank on a
+molecule cap of 6 tokens, which truncates most molecules: once with
+`rep` and once with `mean` truncation pooling. Every command runs with
+relative paths, so its output does not depend on where the directory is.
 
 It prints one line per command (name, exit code, sha256 of stdout and of
 stderr), then one line per file left in the directory (sha256, path), and
@@ -34,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 3)
+POOLINGS = ("rep", "mean")
+# keys each truncation config sets; they replace TINY_CONFIG's lines for the
+# same keys, so every key stays set once
+TRUNCATING = "model.mol_max_len = 6\ntrain.checkpoint_interval = 5\n"
 
 
 def cli_test_inputs() -> dict:
@@ -53,9 +60,20 @@ def cli_test_inputs() -> dict:
     return found
 
 
+def config_with(config: str, lines: str) -> str:
+    """config with every key that `lines` sets moved to the end with its new value."""
+    keys = {line.split("=", 1)[0].strip() for line in lines.splitlines()}
+    kept = [line for line in config.splitlines()
+            if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + lines
+
+
 def write_inputs(work: Path, inputs: dict):
     smis, prots = inputs["SMIS"], inputs["PROTS"]
     (work / "config.txt").write_text(inputs["TINY_CONFIG"])
+    for pooling in POOLINGS:
+        (work / f"truncate_{pooling}.txt").write_text(config_with(
+            inputs["TINY_CONFIG"], f"{TRUNCATING}model.truncation_pooling = {pooling}\n"))
     (work / "corpus.txt").write_text("\n".join(smis) + "\n")
     kiba = ["smiles\tfasta\taffinity"]
     davis = ["smiles\tfasta\taffinity"]
@@ -102,6 +120,19 @@ def matrix(prots) -> list:
             (f"{d}-rank-target-file", [*rank, "--target-file", "target.fasta",
                                        "--out", f"{d}/ranking_file.tsv"]),
             (f"{d}-rank-two-records", [*rank, "--target-file", "two.fasta"]),
+        ]
+    for pooling in POOLINGS:
+        d = f"truncate-{pooling}"
+        common = ["--config", f"truncate_{pooling}.txt", "--seed", str(SEEDS[0])]
+        runs += [
+            (f"{d}-pretrain", ["pretrain", "--corpus", "corpus.txt", "--out", f"{d}/pre",
+                               *common]),
+            (f"{d}-finetune-kiba-warm", ["finetune", "--data", "kiba.tsv", "--mode", "kiba",
+                                         "--warm-start", f"{d}/pre/pretrain.ckpt",
+                                         "--out", f"{d}/kiba", *common]),
+            (f"{d}-rank-fasta", ["rank", "--checkpoint", f"{d}/kiba/model.ckpt",
+                                 "--candidates", "candidates.tsv", "--target-fasta", prots[0],
+                                 "--out", f"{d}/ranking.tsv"]),
         ]
     return runs
 
