@@ -108,15 +108,6 @@ class Checkpoint:
         except OSError as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    def require(self, *path):
-        """The metadata value under a key path; a missing key is a DataError."""
-        value = self.meta
-        for depth, key in enumerate(path):
-            if not isinstance(value, dict) or key not in value:
-                raise DataError(f"checkpoint metadata lacks {'.'.join(path[:depth + 1])!r}")
-            value = value[key]
-        return value
-
     def select(self, prefix: str) -> dict[str, np.ndarray]:
         """Tensors under a dotted prefix, with the prefix stripped."""
         skip = len(prefix)
@@ -125,14 +116,14 @@ class Checkpoint:
 
     def restore(self, named: dict, prefix: str = ""):
         """Overwrite each named tensor's data with the array stored under
-        prefix + name; every name must be present with the tensor's shape."""
+        prefix + name; a missing name or another shape is a DataError."""
         arrays = self.select(prefix)
         missing = sorted(set(named) - set(arrays))
         if missing:
-            raise ValueError(f"checkpoint missing tensors under {prefix!r}: {missing[:5]}")
+            raise DataError(f"checkpoint missing tensors under {prefix!r}: {missing[:5]}")
         for name, tensor in named.items():
             arr = arrays[name]
             if arr.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for {prefix}{name}: "
+                raise DataError(f"shape mismatch for {prefix}{name}: "
                                  f"{arr.shape} vs {tensor.data.shape}")
             tensor.data = arr.copy()

@@ -20,9 +20,8 @@ from .data import (format_ranking, load_affinity_dataset, load_candidates,
                    load_predictions, rank_candidates, read_lines, split_folds)
 from .errors import DataError, NumericalError
 from .metrics import evaluate
-from .model import MODE_PRESETS, DtiModel, ModelConfig, keep_rep_for
-from .training import (TrainRunConfig, check_pretrain_kind, encode_affinity_data,
-                       finetune, pretrain)
+from .model import MODE_PRESETS, DtiModel, ModelConfig, keep_rep_for, read_meta
+from .training import TrainRunConfig, encode_affinity_data, finetune, pretrain
 from .transformer import TransformerConfig
 
 
@@ -200,9 +199,8 @@ def cmd_finetune(args) -> int:
 
     warm = Checkpoint.load(args.warm_start) if args.warm_start else None
     if warm is not None:
-        check_pretrain_kind(warm)
-        sections["codec"].setdefault("mol_max_len", warm.require("codec", "mol_max_len"))
-        mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(warm.require("mol_vocab")))
+        codec, mol_vocab = read_meta(warm, "pretrain", "codec", "mol_vocab")
+        sections["codec"].setdefault("mol_max_len", codec.mol_max_len)
     else:
         mol_vocab = build_vocab((r.smiles for r in records), MOLECULE)
     prot_vocab = build_vocab((r.fasta for r in records), PROTEIN)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_dims
 
 MOLECULE = "molecule"
 PROTEIN = "protein"
@@ -82,8 +82,7 @@ class CodecConfig:
     prot_max_len: int = 1000
 
     def __post_init__(self):
-        if self.mol_max_len <= 0 or self.prot_max_len <= 0:
-            raise ValueError("sequence length limits must be strictly positive")
+        check_dims(self, "mol_max_len", "prot_max_len")
 
 
 def build_vocab(corpus, kind: str) -> Vocab:

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import check_dims
 from .transformer import _param, _zeros
 
 
@@ -20,8 +21,9 @@ class InteractionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dense_sizes", tuple(self.dense_sizes))
-        if not self.dense_sizes or any(s <= 0 for s in self.dense_sizes):
-            raise ValueError("dense_sizes must be non-empty and positive")
+        check_dims(self, "dense_sizes")
+        if not self.dense_sizes:
+            raise ValueError("dense_sizes must be non-empty")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 

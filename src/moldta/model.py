@@ -1,9 +1,11 @@
-"""Whole-pipeline configuration and the combined affinity model.
+"""Whole-pipeline configuration, the combined affinity model, and the
+metadata of both checkpoint kinds.
 
 A DtiModel owns the molecule encoder, the protein tower and the interaction
 head; its checkpoint stores every tensor under the prefixes transformer.,
 protein. and interaction., together with the configs and both vocabularies,
-so a saved model is self-contained.
+so a saved model is self-contained. A pretraining checkpoint holds the
+encoder's tensors, its config, the codec and the molecule vocabulary.
 """
 
 from __future__ import annotations
@@ -63,17 +65,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of dataclasses.asdict, as stored in checkpoint metadata;
-        a missing, unknown or mistyped field is a DataError."""
-        try:
-            return cls(**{**d, "codec": CodecConfig(**d["codec"]),
-                          "transformer": TransformerConfig(**d["transformer"]),
-                          "protein": ProteinCnnConfig(**d["protein"]),
-                          "interaction": InteractionConfig(**d["interaction"])})
-        except KeyError as exc:
-            raise DataError(f"checkpoint model config lacks {exc}") from exc
-        except TypeError as exc:
-            raise DataError(f"checkpoint model config: {exc}") from exc
+        """Inverse of dataclasses.asdict, as stored in checkpoint metadata."""
+        return cls(**{**d, "codec": CodecConfig(**d["codec"]),
+                      "transformer": TransformerConfig(**d["transformer"]),
+                      "protein": ProteinCnnConfig(**d["protein"]),
+                      "interaction": InteractionConfig(**d["interaction"])})
 
     @classmethod
     def for_mode(cls, mode: str, mol_vocab_size: int, prot_vocab_size: int,
@@ -97,6 +93,49 @@ class ModelConfig:
             interaction=InteractionConfig(**{"dense_sizes": preset["dense_sizes"],
                                              **sections.get("interaction", {})}),
             **sections.get("model", {}))
+
+
+# Checkpoint metadata key -> (its name in errors, the function building its value).
+META_VALUES = {
+    "model": ("model config", ModelConfig.from_dict),
+    "transformer": ("transformer", lambda d: TransformerConfig(**d)),
+    "codec": ("codec", lambda d: CodecConfig(**d)),
+    "mol_vocab": ("mol_vocab", lambda tokens: Vocab(kind=MOLECULE, tokens=tuple(tokens))),
+    "prot_vocab": ("prot_vocab", lambda tokens: Vocab(kind=PROTEIN, tokens=tuple(tokens))),
+}
+WRONG_KIND = {"dti": "not an affinity-model checkpoint: kind={!r}",
+              "pretrain": "warm start requires a pretraining checkpoint, got kind={!r}"}
+
+
+def read_meta(ckpt: Checkpoint, kind: str, *keys) -> tuple:
+    """The built values of the named metadata keys of a checkpoint of the
+    given kind, in order. A wrong kind, a missing key or a value that its
+    function rejects (a missing, unknown or mistyped field) is a DataError."""
+    if ckpt.meta.get("kind") != kind:
+        raise DataError(WRONG_KIND[kind].format(ckpt.meta.get("kind")))
+    values = []
+    for key in keys:
+        name, build = META_VALUES[key]
+        try:
+            values.append(build(ckpt.meta[key]))
+        except KeyError as exc:  # the key itself, or a field of a model config
+            where = name if key in ckpt.meta else "metadata"
+            raise DataError(f"checkpoint {where} lacks {exc}") from exc
+        except TypeError as exc:
+            raise DataError(f"checkpoint {name}: {exc}") from exc
+        except ValueError as exc:  # the message names the field
+            raise DataError(str(exc)) from exc
+    return tuple(values)
+
+
+def pretrain_checkpoint(weights: TransformerWeights, codec: CodecConfig, vocab: Vocab,
+                        keep_rep_when_truncated: bool, step: int) -> Checkpoint:
+    """A pretraining snapshot, the encoder's tensors under "transformer."."""
+    meta = {"kind": "pretrain", "transformer": asdict(weights.cfg), "codec": asdict(codec),
+            "mol_vocab": list(vocab.tokens),
+            "keep_rep_when_truncated": keep_rep_when_truncated, "step": step}
+    return Checkpoint(meta=meta, tensors={f"transformer.{n}": t.data.copy()
+                                          for n, t in weights.named().items()})
 
 
 class DtiModel:
@@ -178,11 +217,7 @@ class DtiModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "DtiModel":
-        if ckpt.meta.get("kind") != "dti":
-            raise ValueError(f"not an affinity-model checkpoint: kind={ckpt.meta.get('kind')!r}")
-        cfg = ModelConfig.from_dict(ckpt.require("model"))
-        mol_vocab = Vocab(kind=MOLECULE, tokens=tuple(ckpt.require("mol_vocab")))
-        prot_vocab = Vocab(kind=PROTEIN, tokens=tuple(ckpt.require("prot_vocab")))
+        cfg, mol_vocab, prot_vocab = read_meta(ckpt, "dti", "model", "mol_vocab", "prot_vocab")
         # no rng: weights start as zeros, and restore() overwrites every one
         model = cls(cfg, mol_vocab, prot_vocab, None)
         ckpt.restore(model.named_params())

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import check_dims
 from .transformer import _param, _zeros
 
 
@@ -30,12 +31,9 @@ class ProteinCnnConfig:
     def __post_init__(self):
         object.__setattr__(self, "filter_lengths", tuple(self.filter_lengths))
         object.__setattr__(self, "filter_counts", tuple(self.filter_counts))
-        if self.vocab_size <= 0 or self.embed_dim <= 0:
-            raise ValueError("vocab and embedding sizes must be positive")
+        check_dims(self, "vocab_size", "embed_dim", "filter_lengths", "filter_counts")
         if len(self.filter_lengths) != len(self.filter_counts):
             raise ValueError("filter_lengths and filter_counts must align")
-        if any(s < 1 for s in self.filter_lengths) or any(m < 1 for m in self.filter_counts):
-            raise ValueError("filter lengths and counts must be >= 1")
 
     @property
     def out_width(self) -> int:

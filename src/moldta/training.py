@@ -8,7 +8,7 @@ deterministic given identical seed, config and inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +17,10 @@ from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
 from .codec import MASK, PAD_ID, CodecConfig, Vocab, encode_molecule, encode_protein
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .interaction import mse_loss
 from .metrics import mse
-from .model import DtiModel, ModelConfig
+from .model import DtiModel, ModelConfig, pretrain_checkpoint, read_meta
 from .transformer import TransformerConfig, TransformerWeights
 
 MASK_SELECT_RATE = 0.15
@@ -240,12 +240,7 @@ def pretrain(corpus, vocab: Vocab, transformer_cfg: TransformerConfig, run: Trai
     losses = []
 
     def snapshot(step):
-        meta = {"kind": "pretrain", "transformer": asdict(transformer_cfg),
-                "codec": asdict(codec_cfg), "mol_vocab": list(vocab.tokens),
-                "keep_rep_when_truncated": keep_rep_when_truncated,
-                "step": step}
-        return Checkpoint(meta=meta, tensors={f"transformer.{n}": t.data.copy()
-                                              for n, t in weights.named().items()})
+        return pretrain_checkpoint(weights, codec_cfg, vocab, keep_rep_when_truncated, step)
 
     for step in range(1, run.steps + 1):
         idx = rng.integers(0, len(corpus_ids), size=min(run.batch_size, len(corpus_ids)))
@@ -306,24 +301,17 @@ def encode_affinity_data(records, mol_vocab: Vocab, prot_vocab: Vocab,
     return out
 
 
-def check_pretrain_kind(ckpt: Checkpoint):
-    """Reject a checkpoint that pretrain did not write."""
-    if ckpt.meta.get("kind") != "pretrain":
-        raise ValueError(f"warm start requires a pretraining checkpoint, got "
-                         f"kind={ckpt.meta.get('kind')!r}")
-
-
 def load_warm_start(model: DtiModel, ckpt: Checkpoint):
     """Initialize the molecule encoder from a pretraining checkpoint.
 
     The transformer config and molecule vocabulary must match exactly; the
     protein tower and interaction head keep their fresh initialization.
     """
-    check_pretrain_kind(ckpt)
-    if ckpt.require("transformer") != asdict(model.cfg.transformer):
-        raise ValueError("warm-start transformer config does not match the model")
-    if tuple(ckpt.require("mol_vocab")) != model.mol_vocab.tokens:
-        raise ValueError("warm-start molecule vocabulary does not match the model")
+    transformer_cfg, mol_vocab = read_meta(ckpt, "pretrain", "transformer", "mol_vocab")
+    if transformer_cfg != model.cfg.transformer:
+        raise DataError("warm-start transformer config does not match the model")
+    if mol_vocab != model.mol_vocab:
+        raise DataError("warm-start molecule vocabulary does not match the model")
     ckpt.restore(model.tw.named(), "transformer.")
 
 
@@ -370,22 +358,22 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
     for epoch in range(1, run.epochs + 1):
         order = rng.permutation(len(train))
         epoch_losses = []
-        for start in range(0, len(train), run.batch_size):
-            batch = [train[i] for i in order[start:start + run.batch_size]]
-            targets = np.array([r.affinity for r in batch])
-            try:
+        try:
+            for start in range(0, len(train), run.batch_size):
+                batch = [train[i] for i in order[start:start + run.batch_size]]
+                targets = np.array([r.affinity for r in batch])
                 pred = model.forward_ids(np.stack([r.mol for r in batch]),
                                          np.stack([r.prot for r in batch]), rng)
                 loss = mse_loss(pred, targets)
-            except NumericalError as exc:
-                raise NumericalError(f"fine-tuning epoch {epoch}: {exc}") from exc
-            optimizer.zero_grad()
-            ad.backward(loss)
-            step += 1
-            optimizer.step(run.learning_rate * min(1.0, step / warmup_steps))
-            epoch_losses.append(float(loss.data))
-        dev_mse = mse(np.array([r.affinity for r in dev]),
-                      model.predict([r.mol for r in dev], [r.prot for r in dev]))
+                optimizer.zero_grad()
+                ad.backward(loss)
+                step += 1
+                optimizer.step(run.learning_rate * min(1.0, step / warmup_steps))
+                epoch_losses.append(float(loss.data))
+            dev_mse = mse(np.array([r.affinity for r in dev]),
+                          model.predict([r.mol for r in dev], [r.prot for r in dev]))
+        except NumericalError as exc:
+            raise NumericalError(f"fine-tuning epoch {epoch}: {exc}") from exc
         entry = {"epoch": epoch, "train_mse": float(np.mean(epoch_losses)),
                  "dev_mse": dev_mse}
         history.append(entry)

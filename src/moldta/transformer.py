@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import check_dims
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,8 @@ class TransformerConfig:
     max_len: int = 100
 
     def __post_init__(self):
-        values = (self.vocab_size, self.num_layers, self.num_heads,
-                  self.hidden, self.intermediate, self.max_len)
-        if any(v <= 0 for v in values):
-            raise ValueError("all transformer dimensions must be positive")
+        check_dims(self, "vocab_size", "num_layers", "num_heads", "hidden", "intermediate",
+                   "max_len")
         if self.hidden % self.num_heads != 0:
             raise ValueError(
                 f"hidden size {self.hidden} not divisible by {self.num_heads} heads")

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, config handling, exit codes, artifacts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from dataclasses import asdict
 
 from moldta.checkpoint import Checkpoint
 from moldta.cli import load_config, main
+from moldta.codec import MOLECULE, PROTEIN, CodecConfig, build_vocab
 from moldta.model import ModelConfig
+from moldta.transformer import TransformerConfig
 
 PROTS = ["MKTAYIAKQRQISFVKSHFSRQLEERLG", "MTEYKLVVVGAGGVGKSALTIQLIQNHF"]
 SMIS = ["CCO", "CN=C=O", "CCCNC", "CC(C)O", "NCCN", "OC=O",
@@ -229,6 +233,68 @@ def test_rank_checkpoint_with_protein_cap_below_receptive_field_exits_two(worksp
     err = capsys.readouterr().err
     assert err.startswith("data error: codec prot_max_len 4 is shorter than the protein "
                           "receptive field 34")
+
+
+def _tiny_pretrain_meta() -> dict:
+    """Metadata of a pretraining checkpoint for TINY_CONFIG on SMIS."""
+    mol_vocab = build_vocab(SMIS, MOLECULE)
+    transformer = TransformerConfig(vocab_size=len(mol_vocab), num_layers=1, num_heads=2,
+                                    hidden=8, intermediate=12, max_len=16)
+    return {"kind": "pretrain", "transformer": asdict(transformer),
+            "codec": asdict(CodecConfig(mol_max_len=16, prot_max_len=40)),
+            "mol_vocab": list(mol_vocab.tokens), "keep_rep_when_truncated": True, "step": 1}
+
+
+def _tiny_dti_meta() -> dict:
+    """Metadata of an affinity-model checkpoint for TINY_CONFIG on SMIS and
+    PROTS, as JSON holds it."""
+    mol_vocab, prot_vocab = build_vocab(SMIS, MOLECULE), build_vocab(PROTS, PROTEIN)
+    model = ModelConfig.for_mode("kiba", len(mol_vocab), len(prot_vocab), {
+        "codec": {"mol_max_len": 16, "prot_max_len": 40},
+        "transformer": {"num_layers": 1, "num_heads": 2, "hidden": 8, "intermediate": 12},
+        "protein": {"embed_dim": 6, "filter_lengths": (3, 3), "filter_counts": (4, 5)},
+        "interaction": {"dense_sizes": (7,)}})
+    return {"kind": "dti", "model": json.loads(json.dumps(asdict(model))),
+            "mol_vocab": list(mol_vocab.tokens), "prot_vocab": list(prot_vocab.tokens)}
+
+
+def _with(meta: dict, path: tuple, value) -> dict:
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return meta
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("model", "transformer", "num_layers"), 1.5,
+     "TransformerConfig.num_layers must be a strictly positive integer, got 1.5"),
+    (("model", "protein", "filter_lengths"), [3.5, 3],
+     "ProteinCnnConfig.filter_lengths must be a strictly positive integer, got (3.5, 3)"),
+    (("model", "interaction", "dense_sizes"), [4.5],
+     "InteractionConfig.dense_sizes must be a strictly positive integer, got (4.5,)"),
+    (("mol_vocab",), 5, "checkpoint mol_vocab: 'int' object is not iterable"),
+    (("prot_vocab",), "[PAD]ACD", "protein vocab must start with ('[PAD]',)"),
+], ids=["num_layers", "filter_lengths", "dense_sizes", "mol_vocab", "prot_vocab"])
+def test_rank_checkpoint_with_mistyped_metadata_exits_two(workspace, capsys, path, value,
+                                                          message):
+    assert _rank_exit(workspace, _with(_tiny_dti_meta(), path, value)) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mol_vocab", 5, "checkpoint mol_vocab: 'int' object is not iterable"),
+    ("transformer", 5, "checkpoint transformer: "),
+])
+def test_warm_start_with_mistyped_metadata_exits_two(workspace, capsys, key, value, message):
+    ckpt = workspace / "pre.ckpt"
+    Checkpoint(meta=_with(_tiny_pretrain_meta(), (key,), value), tensors={}).save(ckpt)
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit"), "--config", str(workspace / "config.txt"),
+                 "--warm-start", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {message}") and len(err.splitlines()) == 1
+    assert not (workspace / "fit").exists()
 
 
 def test_warm_start_fills_in_only_an_unset_mol_max_len(workspace, capsys):

@@ -515,6 +515,16 @@ def test_finetune_numerical_blowup_aborts_with_epoch_diagnostic():
             finetune(encoded, encoded, cfg, run, mol_vocab, prot_vocab)
 
 
+def test_finetune_blowup_first_seen_in_the_dev_pass_names_the_epoch():
+    # one step per epoch, so the first non-finite values show in the dev pass
+    _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup()
+    run = TrainRunConfig(seed=2, batch_size=8, epochs=2, learning_rate=1e150,
+                         warmup_fraction=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="fine-tuning epoch 1"):
+            finetune(encoded, encoded, cfg, run, mol_vocab, prot_vocab)
+
+
 def test_finetune_deterministic():
     _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup(dropout=0.1)
     run = TrainRunConfig(seed=4, batch_size=4, epochs=10, learning_rate=1e-3)

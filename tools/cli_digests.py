@@ -12,8 +12,11 @@ it runs tokenize and two inputs that are data errors (a vocabulary of the
 wrong kind, a two-record target file). At seed 1 it also runs pretrain
 (with periodic snapshots), warm-started kiba finetune and rank on a
 molecule cap of 6 tokens, which truncates most molecules: once with
-`rep` and once with `mean` truncation pooling. Every command runs with
-relative paths, so its output does not depend on where the directory is.
+`rep` and once with `mean` truncation pooling. Last, it runs rank on two
+copies of the seed-1 kiba checkpoint whose metadata holds a mistyped value,
+a float `model.transformer.num_layers` (1.5) or an integer `mol_vocab` (5);
+the tensors are left as they are. Every command runs with relative paths,
+so its output does not depend on where the directory is.
 
 It prints one line per command (name, exit code, sha256 of stdout and of
 stderr), then one line per file left in the directory (sha256, path), and
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -41,6 +45,9 @@ POOLINGS = ("rep", "mean")
 # keys each truncation config sets; they replace TINY_CONFIG's lines for the
 # same keys, so every key stays set once
 TRUNCATING = "model.mol_max_len = 6\ntrain.checkpoint_interval = 5\n"
+# (name, metadata key path, the value put there) for the mistyped checkpoints
+MISTYPED = (("num-layers-float", ("model", "transformer", "num_layers"), 1.5),
+            ("mol-vocab-int", ("mol_vocab",), 5))
 
 
 def cli_test_inputs() -> dict:
@@ -137,6 +144,20 @@ def matrix(prots) -> list:
     return runs
 
 
+def with_meta_value(blob: bytes, path: tuple, value) -> bytes:
+    """A checkpoint file with one metadata value replaced, read and written in
+    the layout of src/moldta/checkpoint.py: 8-byte magic, little-endian
+    metadata length, sorted-key JSON metadata, then the tensor records."""
+    meta_len = int.from_bytes(blob[8:16], "little")
+    meta = json.loads(blob[16:16 + meta_len])
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    new = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + meta_len:]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -157,14 +178,25 @@ def main(argv=None) -> int:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        write_inputs(work, inputs)
-        for name, args in matrix(inputs["PROTS"]):
+
+        def run(name, args):
             proc = subprocess.run([sys.executable, "-m", "moldta.cli", *args], cwd=work,
                                   env=env, capture_output=True)
             (logs / f"{name}.stdout").write_bytes(proc.stdout)
             (logs / f"{name}.stderr").write_bytes(proc.stderr)
             lines.append(f"{name} exit={proc.returncode} stdout={sha256(proc.stdout)} "
                          f"stderr={sha256(proc.stderr)}")
+
+        write_inputs(work, inputs)
+        for name, args in matrix(inputs["PROTS"]):
+            run(name, args)
+        trained = (work / f"seed{SEEDS[0]}" / "kiba" / "model.ckpt").read_bytes()
+        (work / "mistyped").mkdir()
+        for name, path, value in MISTYPED:
+            ckpt = f"mistyped/{name}.ckpt"
+            (work / ckpt).write_bytes(with_meta_value(trained, path, value))
+            run(f"rank-mistyped-{name}", ["rank", "--checkpoint", ckpt, "--candidates",
+                                          "candidates.tsv", "--target-fasta", inputs["PROTS"][0]])
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(work).as_posix()}")
         shutil.copytree(work, out, dirs_exist_ok=True)
