@@ -4,7 +4,8 @@ Binary layout, all integers little-endian unsigned 64-bit:
 magic | meta_len | meta (UTF-8 JSON, sorted keys) | tensor_count | records,
 each record being name_len | name (UTF-8) | tensor bytes. A tensor is its
 rank and dims as little-endian signed 64-bit integers, then its values as
-little-endian float64 in C order. Round trips are bitwise exact.
+little-endian float64 in C order. Round trips are bitwise exact. Parsed
+tensors are read-only views of the parsed bytes; restore() copies them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def tensor_to_bytes(arr) -> bytes:
 
 
 def tensor_from_bytes(buf, offset: int = 0):
-    """Parse one serialized tensor; returns (array, next_offset)."""
+    """Parse one serialized tensor; returns (a view of buf, next_offset)."""
     (rank,) = struct.unpack_from("<q", buf, offset)
     offset += 8
     if rank < 0:
@@ -39,8 +40,7 @@ def tensor_from_bytes(buf, offset: int = 0):
     if any(d < 0 for d in dims) or offset + 8 * count > len(buf):
         raise ValueError(f"corrupt tensor header: dims {dims} do not fit the buffer")
     arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(dims)
-    offset += 8 * count
-    return arr.astype(np.float64), offset
+    return arr, offset + 8 * count
 
 
 class Checkpoint:
@@ -108,21 +108,15 @@ class Checkpoint:
         except OSError as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    def select(self, prefix: str) -> dict[str, np.ndarray]:
-        """Tensors under a dotted prefix, with the prefix stripped."""
-        skip = len(prefix)
-        return {name[skip:]: arr for name, arr in self.tensors.items()
-                if name.startswith(prefix)}
-
     def restore(self, named: dict, prefix: str = ""):
-        """Overwrite each named tensor's data with the array stored under
-        prefix + name; a missing name or another shape is a DataError."""
-        arrays = self.select(prefix)
-        missing = sorted(set(named) - set(arrays))
+        """Overwrite each named tensor's data with a writable copy of the array
+        stored under prefix + name, the one copy between file and model; a
+        missing name or another shape is a DataError."""
+        missing = sorted(name for name in named if prefix + name not in self.tensors)
         if missing:
             raise DataError(f"checkpoint missing tensors under {prefix!r}: {missing[:5]}")
         for name, tensor in named.items():
-            arr = arrays[name]
+            arr = self.tensors[prefix + name]
             if arr.shape != tensor.data.shape:
                 raise DataError(f"shape mismatch for {prefix}{name}: "
                                  f"{arr.shape} vs {tensor.data.shape}")

@@ -40,6 +40,9 @@ class Vocab:
             raise ValueError(f"unknown vocab kind {self.kind!r}")
         if tuple(self.tokens[: len(self.specials)]) != self.specials:
             raise ValueError(f"{self.kind} vocab must start with {self.specials}")
+        for i, token in enumerate(self.tokens):
+            if not isinstance(token, str):
+                raise ValueError(f"{self.kind} vocab token {i} is not a string: {token!r}")
         index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocab")

@@ -4,8 +4,8 @@ metadata of both checkpoint kinds.
 A DtiModel owns the molecule encoder, the protein tower and the interaction
 head; its checkpoint stores every tensor under the prefixes transformer.,
 protein. and interaction., together with the configs and both vocabularies,
-so a saved model is self-contained. A pretraining checkpoint holds the
-encoder's tensors, its config, the codec and the molecule vocabulary.
+so a saved model is self-contained. A warm start loads a pretraining
+checkpoint: the encoder's tensors and config, codec, vocabulary and pooling.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ META_VALUES = {
     "codec": ("codec", lambda d: CodecConfig(**d)),
     "mol_vocab": ("mol_vocab", lambda tokens: Vocab(kind=MOLECULE, tokens=tuple(tokens))),
     "prot_vocab": ("prot_vocab", lambda tokens: Vocab(kind=PROTEIN, tokens=tuple(tokens))),
+    "keep_rep_when_truncated": ("keep_rep_when_truncated", lambda keep_rep: keep_rep),
 }
 WRONG_KIND = {"dti": "not an affinity-model checkpoint: kind={!r}",
               "pretrain": "warm start requires a pretraining checkpoint, got kind={!r}"}
@@ -136,6 +137,21 @@ def pretrain_checkpoint(weights: TransformerWeights, codec: CodecConfig, vocab: 
             "keep_rep_when_truncated": keep_rep_when_truncated, "step": step}
     return Checkpoint(meta=meta, tensors={f"transformer.{n}": t.data.copy()
                                           for n, t in weights.named().items()})
+
+
+def load_warm_start(model: DtiModel, ckpt: Checkpoint):
+    """Load a pretraining checkpoint into the model's molecule encoder. Its
+    transformer config, molecule vocabulary and truncation pooling must match
+    the model's; the protein tower and interaction head keep their weights."""
+    transformer_cfg, mol_vocab, keep_rep = read_meta(
+        ckpt, "pretrain", "transformer", "mol_vocab", "keep_rep_when_truncated")
+    if transformer_cfg != model.cfg.transformer:
+        raise DataError("warm-start transformer config does not match the model")
+    if mol_vocab != model.mol_vocab:
+        raise DataError("warm-start molecule vocabulary does not match the model")
+    if keep_rep is not model.cfg.keep_rep_when_truncated:  # a non-bool fails too
+        raise DataError("warm-start truncation pooling does not match the model")
+    ckpt.restore(model.tw.named(), "transformer.")
 
 
 class DtiModel:

@@ -17,10 +17,10 @@ from . import transformer as mt
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
 from .codec import MASK, PAD_ID, CodecConfig, Vocab, encode_molecule, encode_protein
-from .errors import DataError, NumericalError
+from .errors import NumericalError
 from .interaction import mse_loss
 from .metrics import mse
-from .model import DtiModel, ModelConfig, pretrain_checkpoint, read_meta
+from .model import DtiModel, ModelConfig, load_warm_start, pretrain_checkpoint
 from .transformer import TransformerConfig, TransformerWeights
 
 MASK_SELECT_RATE = 0.15
@@ -299,20 +299,6 @@ def encode_affinity_data(records, mol_vocab: Vocab, prot_vocab: Vocab,
                                  prot=prot_cache[rec.fasta],
                                  affinity=float(rec.affinity)))
     return out
-
-
-def load_warm_start(model: DtiModel, ckpt: Checkpoint):
-    """Initialize the molecule encoder from a pretraining checkpoint.
-
-    The transformer config and molecule vocabulary must match exactly; the
-    protein tower and interaction head keep their fresh initialization.
-    """
-    transformer_cfg, mol_vocab = read_meta(ckpt, "pretrain", "transformer", "mol_vocab")
-    if transformer_cfg != model.cfg.transformer:
-        raise DataError("warm-start transformer config does not match the model")
-    if mol_vocab != model.mol_vocab:
-        raise DataError("warm-start molecule vocabulary does not match the model")
-    ckpt.restore(model.tw.named(), "transformer.")
 
 
 @dataclass

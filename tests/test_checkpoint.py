@@ -1,4 +1,4 @@
-"""Checkpoint container: bitwise round trips and prefix selection."""
+"""Checkpoint container: bitwise round trips, read-only views and restore."""
 
 import numpy as np
 import pytest
@@ -56,19 +56,19 @@ def test_missing_file():
         Checkpoint.load("/nonexistent/path.ckpt")
 
 
-def test_select_prefix_strips_it():
-    ckpt = Checkpoint(meta={}, tensors={"transformer.mte": np.zeros(2),
-                                        "transformer.pe": np.ones(2),
-                                        "protein.pte": np.ones(3)})
-    picked = ckpt.select("transformer.")
-    assert set(picked) == {"mte", "pe"}
-    np.testing.assert_array_equal(picked["pe"], np.ones(2))
-
-
 def tiny_blob():
     return Checkpoint(meta={"kind": "test", "name": "é"},
                       tensors={"a.w": np.arange(6.0).reshape(2, 3), "a.b": np.array(1.5),
                                "empty": np.zeros((0, 2))}).to_bytes()
+
+
+def test_parsed_tensors_are_read_only_views_of_the_bytes():
+    blob = tiny_blob()
+    tensors = Checkpoint.from_bytes(blob).tensors
+    for arr in tensors.values():
+        assert not arr.flags.writeable
+        assert arr.size == 0 or np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
+    np.testing.assert_array_equal(tensors["a.w"], np.arange(6.0).reshape(2, 3))
 
 
 def test_every_truncation_is_a_data_error():

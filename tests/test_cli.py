@@ -275,7 +275,9 @@ def _with(meta: dict, path: tuple, value) -> dict:
      "InteractionConfig.dense_sizes must be a strictly positive integer, got (4.5,)"),
     (("mol_vocab",), 5, "checkpoint mol_vocab: 'int' object is not iterable"),
     (("prot_vocab",), "[PAD]ACD", "protein vocab must start with ('[PAD]',)"),
-], ids=["num_layers", "filter_lengths", "dense_sizes", "mol_vocab", "prot_vocab"])
+    (("mol_vocab", 5), 7, "molecule vocab token 5 is not a string: 7"),
+], ids=["num_layers", "filter_lengths", "dense_sizes", "mol_vocab", "prot_vocab",
+        "mol_vocab_token"])
 def test_rank_checkpoint_with_mistyped_metadata_exits_two(workspace, capsys, path, value,
                                                           message):
     assert _rank_exit(workspace, _with(_tiny_dti_meta(), path, value)) == 2
@@ -285,6 +287,7 @@ def test_rank_checkpoint_with_mistyped_metadata_exits_two(workspace, capsys, pat
 @pytest.mark.parametrize("key, value, message", [
     ("mol_vocab", 5, "checkpoint mol_vocab: 'int' object is not iterable"),
     ("transformer", 5, "checkpoint transformer: "),
+    ("keep_rep_when_truncated", 1, "warm-start truncation pooling does not match the model"),
 ])
 def test_warm_start_with_mistyped_metadata_exits_two(workspace, capsys, key, value, message):
     ckpt = workspace / "pre.ckpt"
@@ -318,6 +321,21 @@ def test_warm_start_fills_in_only_an_unset_mol_max_len(workspace, capsys):
     err = capsys.readouterr().err
     assert "warm-start transformer config does not match the model" in err
     assert not (workspace / "fit12").exists()
+
+
+def test_warm_start_with_other_pooling_exits_two(workspace, capsys):
+    pre_out = workspace / "pre"
+    assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),
+                 "--out", str(pre_out), "--config", str(workspace / "config.txt")]) == 0
+    mean = workspace / "mean.txt"
+    mean.write_text(tiny_config_with("model.truncation_pooling = mean\n"))
+    capsys.readouterr()
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "fit"), "--config", str(mean),
+                 "--warm-start", str(pre_out / "pretrain.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: warm-start truncation pooling does not match the model\n"
+    assert not (workspace / "fit").exists()
 
 
 def test_warm_start_without_codec_exits_two(workspace, capsys):

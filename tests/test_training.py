@@ -1,6 +1,6 @@
 """Training engine: masking procedure, optimizer, transforms, loops."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -578,6 +578,22 @@ def test_warm_start_rejects_vocab_mismatch():
     model = DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
     with pytest.raises(ValueError, match="vocabulary"):
         load_warm_start(model, pre.checkpoint)
+
+
+@pytest.mark.parametrize("keep_rep", [True, False])
+def test_warm_start_rejects_pooling_mismatch(keep_rep):
+    _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup()
+    run = TrainRunConfig(seed=5, batch_size=4, steps=5, learning_rate=1e-3)
+    pre = pretrain(SMIS, mol_vocab, cfg.transformer, run, codec_cfg=cfg.codec,
+                   keep_rep_when_truncated=keep_rep)
+    pooling = {True: "rep", False: "mean"}
+    matching = DtiModel(replace(cfg, truncation_pooling=pooling[keep_rep]), mol_vocab,
+                        prot_vocab, np.random.default_rng(0))
+    load_warm_start(matching, pre.checkpoint)
+    other = DtiModel(replace(cfg, truncation_pooling=pooling[not keep_rep]), mol_vocab,
+                     prot_vocab, np.random.default_rng(0))
+    with pytest.raises(DataError, match="warm-start truncation pooling does not match"):
+        load_warm_start(other, pre.checkpoint)
 
 
 def test_warm_start_names_missing_metadata_key():

@@ -12,11 +12,14 @@ it runs tokenize and two inputs that are data errors (a vocabulary of the
 wrong kind, a two-record target file). At seed 1 it also runs pretrain
 (with periodic snapshots), warm-started kiba finetune and rank on a
 molecule cap of 6 tokens, which truncates most molecules: once with
-`rep` and once with `mean` truncation pooling. Last, it runs rank on two
-copies of the seed-1 kiba checkpoint whose metadata holds a mistyped value,
-a float `model.transformer.num_layers` (1.5) or an integer `mol_vocab` (5);
-the tensors are left as they are. Every command runs with relative paths,
-so its output does not depend on where the directory is.
+`rep` and once with `mean` truncation pooling; then a finetune under the
+`mean` config warm-started from the `rep` pretraining checkpoint, whose
+pooling does not match (a data error). Last, it runs rank on three copies
+of the seed-1 kiba checkpoint whose metadata holds a mistyped value: a
+float `model.transformer.num_layers` (1.5), an integer `mol_vocab` (5) or
+an integer token in `mol_vocab` (7 at id 5); the tensors are left as they
+are. Every command runs with relative paths, so its output does not
+depend on where the directory is.
 
 It prints one line per command (name, exit code, sha256 of stdout and of
 stderr), then one line per file left in the directory (sha256, path), and
@@ -47,7 +50,8 @@ POOLINGS = ("rep", "mean")
 TRUNCATING = "model.mol_max_len = 6\ntrain.checkpoint_interval = 5\n"
 # (name, metadata key path, the value put there) for the mistyped checkpoints
 MISTYPED = (("num-layers-float", ("model", "transformer", "num_layers"), 1.5),
-            ("mol-vocab-int", ("mol_vocab",), 5))
+            ("mol-vocab-int", ("mol_vocab",), 5),
+            ("mol-vocab-token-int", ("mol_vocab", 5), 7))
 
 
 def cli_test_inputs() -> dict:
@@ -141,6 +145,10 @@ def matrix(prots) -> list:
                                  "--candidates", "candidates.tsv", "--target-fasta", prots[0],
                                  "--out", f"{d}/ranking.tsv"]),
         ]
+    runs.append(("truncate-mismatch-finetune",
+                 ["finetune", "--data", "kiba.tsv", "--mode", "kiba", "--warm-start",
+                  "truncate-rep/pre/pretrain.ckpt", "--out", "truncate-mismatch",
+                  "--config", "truncate_mean.txt", "--seed", str(SEEDS[0])]))
     return runs
 
 
