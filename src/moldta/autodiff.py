@@ -200,6 +200,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward_fn, "matmul")
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [..., n], w [n, m] and b [m], as one GEMM over the
+    flattened rows of x. The backward forms the weight gradient as one
+    rowsᵀ @ grad GEMM and the bias gradient as one row sum."""
+    n, m = w.data.shape
+    if x.data.shape[-1] != n:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
+    rows = x.data.reshape(-1, n)
+    data = rows @ w.data
+    data += b.data
+    def backward_fn(grad):
+        g = grad.reshape(-1, m)
+        return (g @ w.data.T).reshape(x.data.shape), rows.T @ g, g.sum(axis=0)
+    return _result(data.reshape(x.data.shape[:-1] + (m,)), (x, w, b), backward_fn, "linear")
+
+
 def transpose(a: Tensor, axes) -> Tensor:
     perm = tuple(axes)
     inv = tuple(np.argsort(perm))
@@ -292,39 +308,102 @@ def gelu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward_fn, "gelu")
 
 
-def softmax_rows(a: Tensor, bias) -> Tensor:
-    """Softmax of a + bias over the last axis; bias is a constant that
-    broadcasts to a, and a -inf bias entry comes out exactly 0.
+def _softmax_in_place(data: np.ndarray) -> np.ndarray:
+    """Overwrite data with its softmax over the last axis and return it.
 
-    Numerically stabilized by row-max subtraction. A row with no finite
-    entry comes out non-finite, which the op's finiteness scan reports.
+    Numerically stabilized by row-max subtraction; a -inf entry comes out
+    exactly 0, and a row with no finite entry comes out non-finite.
     """
-    if a.data.shape[-1] < 1:
-        raise ValueError("softmax over an empty axis")
-    data = a.data + bias
     data -= data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
+    return data
+
+
+def _softmax_vjp(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the softmax input, given its output probs."""
+    inner = (grad * probs).sum(axis=-1, keepdims=True)
+    return probs * (grad - inner)
+
+
+def softmax_rows(a: Tensor, bias) -> Tensor:
+    """Softmax of a + bias over the last axis; bias is a constant that
+    broadcasts to a, and a -inf bias entry comes out exactly 0. A row with
+    no finite entry comes out non-finite, which the op's finiteness scan
+    reports."""
+    if a.data.shape[-1] < 1:
+        raise ValueError("softmax over an empty axis")
+    data = _softmax_in_place(a.data + bias)
+    return _result(data, (a,), lambda grad: (_softmax_vjp(data, grad),), "softmax_rows")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_bias, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [B, L, D] projections.
+
+    Each of the `heads` slices of width D/heads attends with
+    softmax(q kᵀ / sqrt(D/heads) + key_bias) v, and the slices are merged
+    back to [B, L, D]. key_bias is a constant that broadcasts to the
+    [B, heads, L, L] scores; a -inf entry gives its key exactly zero weight.
+    A query with no finite score comes out non-finite, which the op's
+    finiteness scan reports.
+    """
+    b, length, d = q.data.shape
+    dk = d // heads
+
+    def split(t):
+        return t.reshape(b, length, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = 1.0 / np.sqrt(dk)
+    probs = np.matmul(qh, kh.swapaxes(-1, -2))
+    probs *= c
+    probs += key_bias
+    _softmax_in_place(probs)
+    data = merge(np.matmul(probs, vh))
     def backward_fn(grad):
-        inner = (grad * data).sum(axis=-1, keepdims=True)
-        return (data * (grad - inner),)
-    return _result(data, (a,), backward_fn, "softmax_rows")
+        g = split(grad)
+        dscores = _softmax_vjp(probs, np.matmul(g, vh.swapaxes(-1, -2)))
+        dscores *= c
+        return (merge(np.matmul(dscores, kh)),
+                merge(np.matmul(dscores.swapaxes(-1, -2), qh)),
+                merge(np.matmul(probs.swapaxes(-1, -2), g)))
+    return _result(data, (q, k, v), backward_fn, "attention")
+
+
+def _normalize(a: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Standardize a over the last axis, then apply the affine (gain, bias).
+    Returns the output and its VJP, which maps the output gradient to the
+    gradients of a, gain and bias."""
+    mu = a.mean(axis=-1, keepdims=True)
+    centered = a - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered * inv_std
+    data = xhat * gain + bias
+    def vjp(grad):
+        dxhat = grad * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv_std * (dxhat - m1 - xhat * m2), grad * xhat, grad
+    return data, vjp
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standardize over the last axis, then apply the affine (gain, bias)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
+    data, vjp = _normalize(a.data, gain.data, bias.data)
+    return _result(data, (a, gain, bias), vjp, "layer_norm")
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """layer_norm(x + y, gain, bias) as one op: the sum is not kept."""
+    data, vjp = _normalize(x.data + y.data, gain.data, bias.data)
     def backward_fn(grad):
-        dxhat = grad * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv_std * (dxhat - m1 - xhat * m2), grad * xhat, grad
-    return _result(data, (a, gain, bias), backward_fn, "layer_norm")
+        d_sum, d_gain, d_bias = vjp(grad)
+        return d_sum, d_sum, d_gain, d_bias
+    return _result(data, (x, y, gain, bias), backward_fn, "residual_layer_norm")
 
 
 def dropout(a: Tensor, rate: float, rng=None) -> Tensor:

@@ -22,10 +22,12 @@ from .errors import DataError
 MAGIC = b"MDTC0001"
 
 
-def tensor_to_bytes(arr) -> bytes:
-    arr = np.asarray(arr, dtype="<f8")  # tobytes() emits C order regardless of layout
-    header = struct.pack("<q", arr.ndim) + struct.pack(f"<{arr.ndim}q", *arr.shape)
-    return header + arr.tobytes()
+def tensor_parts(arr):
+    """One serialized tensor as two buffers: its rank and dims, then its
+    values, which are the array itself when it is already little-endian
+    float64 in C order, so writing them copies nothing."""
+    arr = np.asarray(arr, dtype="<f8", order="C")
+    return struct.pack(f"<{arr.ndim + 1}q", arr.ndim, *arr.shape), arr
 
 
 def tensor_from_bytes(buf, offset: int = 0):
@@ -48,24 +50,29 @@ class Checkpoint:
         self.meta = meta
         self.tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
 
-    def to_bytes(self) -> bytes:
+    def parts(self):
+        """The serialized checkpoint as a sequence of buffers, in file order;
+        each tensor's values come as the tensor itself, not a copy."""
         meta_blob = json.dumps(self.meta, sort_keys=True).encode("utf-8")
-        parts = [MAGIC, struct.pack("<Q", len(meta_blob)), meta_blob,
-                 struct.pack("<Q", len(self.tensors))]
+        yield MAGIC + struct.pack("<Q", len(meta_blob)) + meta_blob
+        yield struct.pack("<Q", len(self.tensors))
         for name, arr in self.tensors.items():
             blob = name.encode("utf-8")
-            parts.append(struct.pack("<Q", len(blob)))
-            parts.append(blob)
-            parts.append(tensor_to_bytes(arr))
-        return b"".join(parts)
+            yield struct.pack("<Q", len(blob)) + blob
+            yield from tensor_parts(arr)
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.parts())
 
     def save(self, path):
-        """Write atomically: a temp file beside `path` replaces it only once
-        complete, so a failed write leaves any previous file there as it was."""
+        """Stream the parts to a temp file beside `path`, which replaces it
+        only once complete, so a failed write leaves any previous file there
+        as it was. No copy of the tensor values is made on the way."""
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(self.to_bytes())
+                for part in self.parts():
+                    fh.write(part)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

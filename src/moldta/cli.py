@@ -138,7 +138,8 @@ def cmd_tokenize(args) -> int:
         cfg = CodecConfig(mol_max_len=args.mol_max_len)
     except ValueError as exc:
         raise UsageError(f"--mol-max-len: {exc}") from exc
-    print(" ".join(tokenize_molecule(args.smiles, cfg)))
+    keep_rep = keep_rep_for(ModelConfig.truncation_pooling)  # the pipelines' default stream
+    print(" ".join(tokenize_molecule(args.smiles, cfg, keep_rep)))
     return 0
 
 

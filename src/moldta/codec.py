@@ -172,6 +172,8 @@ def decode(ids, vocab: Vocab) -> str:
     return "".join(chars)
 
 
-def tokenize_molecule(smiles: str, cfg: CodecConfig) -> list[str]:
-    """Token stream (strings, no padding) for one molecule, truncation included."""
-    return _molecule_window(list(smiles), cfg.mol_max_len, False, REP, BEGIN, END)
+def tokenize_molecule(smiles: str, cfg: CodecConfig, keep_rep_when_truncated: bool) -> list[str]:
+    """Token stream (strings, no padding) for one molecule: the tokens of
+    encode_molecule with the same arguments, truncation included."""
+    return _molecule_window(list(smiles), cfg.mol_max_len, keep_rep_when_truncated,
+                            REP, BEGIN, END)

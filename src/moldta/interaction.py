@@ -61,9 +61,9 @@ def predict_affinity_batch(m_rep: Tensor, p_rep: Tensor, w: InteractionWeights,
             f"weights built for {w.in_width}")
     x = joint
     for dense_w, dense_b in w.dense:
-        x = ad.relu(ad.add(ad.matmul(x, dense_w), dense_b))
+        x = ad.relu(ad.linear(x, dense_w, dense_b))
         x = ad.dropout(x, w.cfg.dropout, rng)
-    out = ad.add(ad.matmul(x, w.reg_w), w.reg_b)
+    out = ad.linear(x, w.reg_w, w.reg_b)
     return ad.reshape(out, out.data.shape[:-1])
 
 

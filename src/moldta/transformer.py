@@ -126,27 +126,13 @@ def attention_block(x: Tensor, key_bias: np.ndarray, layer: LayerWeights,
     """One encoder block over [B, L, D]; key_bias [B, 1, 1, L] is 0 at real
     keys and -inf at padding. Dropout runs when an rng is given."""
     cfg = layer.cfg
-    b, length, d = x.data.shape
-    h, dk = cfg.num_heads, cfg.head_dim
-
-    def heads(t):
-        return ad.transpose(ad.reshape(t, (b, length, h, dk)), (0, 2, 1, 3))
-
-    q = heads(ad.add(ad.matmul(x, layer.wq), layer.bq))
-    k = heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
-    v = heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
-
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
-    probs = ad.softmax_rows(scores, key_bias)
-    ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, length, d))
-    attn_out = ad.add(ad.matmul(ctx, layer.wo), layer.bo)
-    attn_out = ad.dropout(attn_out, cfg.dropout, rng)
-    x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_g, layer.ln1_b)
-
-    ff = ad.gelu(ad.add(ad.matmul(x, layer.ff1_w), layer.ff1_b))
-    ff = ad.add(ad.matmul(ff, layer.ff2_w), layer.ff2_b)
-    ff = ad.dropout(ff, cfg.dropout, rng)
-    return ad.layer_norm(ad.add(x, ff), layer.ln2_g, layer.ln2_b)
+    ctx = ad.attention(ad.linear(x, layer.wq, layer.bq), ad.linear(x, layer.wk, layer.bk),
+                       ad.linear(x, layer.wv, layer.bv), key_bias, cfg.num_heads)
+    attn_out = ad.dropout(ad.linear(ctx, layer.wo, layer.bo), cfg.dropout, rng)
+    x = ad.residual_layer_norm(x, attn_out, layer.ln1_g, layer.ln1_b)
+    ff = ad.gelu(ad.linear(x, layer.ff1_w, layer.ff1_b))
+    ff = ad.dropout(ad.linear(ff, layer.ff2_w, layer.ff2_b), cfg.dropout, rng)
+    return ad.residual_layer_norm(x, ff, layer.ln2_g, layer.ln2_b)
 
 
 def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
@@ -179,4 +165,4 @@ def pool_mean_batch(encoded: Tensor, mask: np.ndarray) -> Tensor:
 
 def lm_logits(encoded: Tensor, w: TransformerWeights) -> Tensor:
     """Per-position vocabulary logits via the LM projection head."""
-    return ad.add(ad.matmul(encoded, w.lm_w), w.lm_b)
+    return ad.linear(encoded, w.lm_w, w.lm_b)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from capture import op_outputs
+from capture import SOFTMAX_KERNEL, op_outputs
 from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta import transformer as mt
@@ -155,8 +155,9 @@ def test_criterion_4_attention_invariants():
         ids = np.stack(encs)
         mask = ids != PAD_ID
 
-        with op_outputs("softmax_rows") as attn:
+        with op_outputs(SOFTMAX_KERNEL) as attn:
             base = mt.encode_ids(ids, mask, w)
+        assert len(attn) == cfg.num_layers
         for probs in attn:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
             for row in range(ids.shape[0]):

@@ -236,6 +236,99 @@ def test_embedding_conv1d_rejects_what_the_composed_ops_reject(ids, table_width,
 
 
 # ---------------------------------------------------------------------------
+# sublayer ops against the composed ops they replace
+# ---------------------------------------------------------------------------
+
+def composed_attention(q, k, v, key_bias, heads):
+    b, length, d = q.data.shape
+    dk = d // heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (b, length, heads, dk)), (0, 2, 1, 3))
+
+    scores = ad.scale(ad.matmul(split(q), ad.transpose(split(k), (0, 1, 3, 2))),
+                      1.0 / np.sqrt(dk))
+    ctx = ad.matmul(ad.softmax_rows(scores, key_bias), split(v))
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, length, d))
+
+
+def value_and_grads(op, arrays, weights, *args):
+    """op(*tensors, *args) and the gradient of sum(op * weights) per input."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*tensors, *args)
+    ad.backward(ad.reduce_sum(ad.multiply(out, Tensor(weights))))
+    return [out.data] + [t.grad for t in tensors]
+
+
+def key_padding_bias(rng, b, length):
+    """A [B, 1, 1, L] key bias with -inf at random padding, key 0 always real."""
+    real = rng.random((b, length)) < 0.7
+    real[:, 0] = True
+    return np.where(real, 0.0, -np.inf)[:, None, None, :]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 4), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_attention_is_bitwise_the_composed_ops(b, length, heads, head_dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = (b, length, heads * head_dim)
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    key_bias, weights = key_padding_bias(rng, b, length), rng.normal(size=shape)
+    fused = value_and_grads(ad.attention, arrays, weights, key_bias, heads)
+    composed = value_and_grads(composed_attention, arrays, weights, key_bias, heads)
+    for f, c in zip(fused, composed):     # the value, then dq, dk and dv
+        assert f.tobytes() == c.tobytes()
+
+
+def test_attention_at_the_encoder_shapes_is_bitwise_the_composed_ops():
+    for b, length, d, heads in ((128, 36, 16, 2), (8, 100, 128, 8)):
+        shape = (b, length, d)
+        arrays = [RNG.normal(size=shape) for _ in range(3)]
+        key_bias, weights = key_padding_bias(RNG, b, length), RNG.normal(size=shape)
+        fused = value_and_grads(ad.attention, arrays, weights, key_bias, heads)
+        composed = value_and_grads(composed_attention, arrays, weights, key_bias, heads)
+        for f, c in zip(fused, composed):
+            assert f.tobytes() == c.tobytes()
+
+
+def test_attention_query_with_no_real_key_raises_naming_the_op():
+    q = Tensor(RNG.normal(size=(2, 3, 4)))
+    key_bias = np.zeros((2, 1, 1, 3))
+    key_bias[1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="'attention'"):
+            ad.attention(q, q, q, key_bias, 2)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+def test_linear_agrees_with_matmul_then_add(x_shape):
+    arrays = [RNG.normal(size=x_shape), RNG.normal(size=(4, 6)), RNG.normal(size=(6,))]
+    weights = RNG.normal(size=x_shape[:-1] + (6,))
+    fused = value_and_grads(ad.linear, arrays, weights)
+    composed = value_and_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b), arrays, weights)
+    for f, c in zip(fused, composed):     # the value, then dx, dw and db
+        assert f.shape == c.shape
+        np.testing.assert_allclose(f, c, rtol=0, atol=1e-12)
+
+
+def test_linear_shape_mismatch_names_both_shapes():
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
+def test_residual_layer_norm_is_bitwise_layer_norm_of_the_sum():
+    arrays = [RNG.normal(size=(2, 3, 6)), RNG.normal(size=(2, 3, 6)),
+              RNG.normal(size=(6,)), RNG.normal(size=(6,))]
+    weights = RNG.normal(size=(2, 3, 6))
+    fused = value_and_grads(ad.residual_layer_norm, arrays, weights)
+    composed = value_and_grads(lambda x, y, g, b: ad.layer_norm(ad.add(x, y), g, b),
+                               arrays, weights)
+    for f, c in zip(fused, composed):     # the value, then dx, dy, dgain and dbias
+        assert f.tobytes() == c.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # backward basics
 # ---------------------------------------------------------------------------
 
@@ -468,6 +561,30 @@ def test_grad_layer_norm():
     check_gradients(
         lambda t: ad.reduce_sum(ad.multiply(ad.layer_norm(t[0], t[1], t[2]), Tensor(weights))),
         [RNG.normal(size=(2, 6)), RNG.normal(size=(6,)), RNG.normal(size=(6,))])
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+def test_grad_linear(x_shape):
+    check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.linear(t[0], t[1], t[2]))),
+                    [RNG.normal(size=x_shape), RNG.normal(size=(4, 5)), RNG.normal(size=(5,))])
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+def test_grad_attention_with_padded_keys(heads):
+    key_bias = np.array([0.0, 0.0, -np.inf, 0.0])[None, None, None, :]
+    weights = RNG.normal(size=(2, 4, 6))
+    check_gradients(lambda t: ad.reduce_sum(ad.multiply(
+        ad.attention(t[0], t[1], t[2], key_bias, heads), Tensor(weights))),
+        [RNG.normal(size=(2, 4, 6)) for _ in range(3)])
+
+
+def test_grad_residual_layer_norm():
+    weights = RNG.normal(size=(2, 6))
+    check_gradients(
+        lambda t: ad.reduce_sum(ad.multiply(ad.residual_layer_norm(t[0], t[1], t[2], t[3]),
+                                            Tensor(weights))),
+        [RNG.normal(size=(2, 6)), RNG.normal(size=(2, 6)), RNG.normal(size=(6,)),
+         RNG.normal(size=(6,))])
 
 
 def test_grad_conv1d():

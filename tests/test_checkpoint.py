@@ -1,9 +1,11 @@
 """Checkpoint container: bitwise round trips, read-only views and restore."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from moldta.checkpoint import Checkpoint, tensor_from_bytes, tensor_to_bytes
+from moldta.checkpoint import Checkpoint, tensor_from_bytes, tensor_parts
 from moldta.errors import DataError
 
 RNG = np.random.default_rng(20260810)
@@ -34,14 +36,42 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, fail_at):
     def boom(*args, **kwargs):
         raise OSError("disk full")
 
+    def parts_then_boom(self):    # the temp file holds a partial write
+        yield b"MDTC0001"
+        boom()
+
     if fail_at == "serialize":
-        monkeypatch.setattr(Checkpoint, "to_bytes", boom)
+        monkeypatch.setattr(Checkpoint, "parts", parts_then_boom)
     else:    # the temp file is complete when the rename fails
         monkeypatch.setattr("moldta.checkpoint.os.replace", boom)
     with pytest.raises(OSError, match="disk full"):
         Checkpoint(meta={"kind": "new"}, tensors={"w": np.zeros(5)}).save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_saved_file_is_to_bytes(tmp_path):
+    tensors = {"w": RNG.normal(size=(3, 4)), "t": RNG.normal(size=(4, 3)).T,
+               "s": np.array(1.5), "empty": np.zeros((0, 2))}
+    ckpt = Checkpoint(meta={"kind": "test"}, tensors=tensors)
+    ckpt.save(tmp_path / "model.ckpt")
+    assert (tmp_path / "model.ckpt").read_bytes() == ckpt.to_bytes()
+
+
+def test_save_streams_without_copying_the_tensors(tmp_path):
+    rng = np.random.default_rng(2)
+    ckpt = Checkpoint(meta={"kind": "test"},
+                      tensors={f"w{i}": rng.normal(size=(256, 512)) for i in range(4)})
+    path = tmp_path / "model.ckpt"
+    tracemalloc.start()
+    try:
+        ckpt.save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4 * 256 * 512 * 8
+    assert peak < 1.1 * size
 
 
 def test_bad_magic(tmp_path):
@@ -122,7 +152,7 @@ def test_restore_overwrites_named_tensors_under_prefix():
 def test_tensor_bytes_round_trip_exact():
     for shape in [(), (3,), (2, 3), (2, 3, 4)]:
         arr = RNG.normal(size=shape)
-        blob = tensor_to_bytes(arr)
+        blob = b"".join(tensor_parts(arr))
         back, offset = tensor_from_bytes(blob)
         assert offset == len(blob)
         assert back.shape == arr.shape
@@ -130,7 +160,7 @@ def test_tensor_bytes_round_trip_exact():
 
 
 def test_tensor_bytes_layout_little_endian():
-    blob = tensor_to_bytes(np.array([[1.0, 2.0]]))
+    blob = b"".join(tensor_parts(np.array([[1.0, 2.0]])))
     # rank 2, dims 1 and 2, then two doubles
     assert blob[:8] == (2).to_bytes(8, "little")
     assert blob[8:16] == (1).to_bytes(8, "little")

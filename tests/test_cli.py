@@ -9,8 +9,8 @@ from dataclasses import asdict
 
 from moldta.checkpoint import Checkpoint
 from moldta.cli import load_config, main
-from moldta.codec import MOLECULE, PROTEIN, CodecConfig, build_vocab
-from moldta.model import ModelConfig
+from moldta.codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab, encode_molecule
+from moldta.model import ModelConfig, keep_rep_for
 from moldta.transformer import TransformerConfig
 
 PROTS = ["MKTAYIAKQRQISFVKSHFSRQLEERLG", "MTEYKLVVVGAGGVGKSALTIQLIQNHF"]
@@ -63,6 +63,17 @@ def test_tokenize_prints_nine_token_stream(capsys):
     assert main(["tokenize", "CN=C=O"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "[REP] [BEGIN] C N = C = O [END]"
+
+
+@pytest.mark.parametrize("smiles, cap", [("CN=C=O", 100), ("CN=C=O", 9), ("CN=C=O", 8),
+                                         ("CC(=O)OC1=CC=CC=C1", 8), ("C" * 150, 100)])
+def test_tokenize_prints_the_stream_the_default_pipeline_encodes(capsys, smiles, cap):
+    vocab = build_vocab([smiles], MOLECULE)
+    keep_rep = keep_rep_for(ModelConfig.truncation_pooling)
+    ids = encode_molecule(smiles, vocab, CodecConfig(mol_max_len=cap), keep_rep)
+    assert main(["tokenize", smiles, "--mol-max-len", str(cap)]) == 0
+    printed = capsys.readouterr().out.split()
+    assert printed == [vocab.tokens[i] for i in ids if i != PAD_ID]
 
 
 def test_tokenize_nonpositive_length_is_usage_error(capsys):

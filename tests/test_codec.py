@@ -208,9 +208,13 @@ def test_codec_config_validation():
 
 
 def test_tokenize_molecule_stream():
-    assert tokenize_molecule("CN=C=O", CFG) == [REP, BEGIN, "C", "N", "=", "C", "=", "O", END]
-    stream = tokenize_molecule("C" * 200, CFG)
+    for keep_rep in (True, False):
+        assert tokenize_molecule("CN=C=O", CFG, keep_rep) == [REP, BEGIN, "C", "N", "=", "C",
+                                                              "=", "O", END]
+    stream = tokenize_molecule("C" * 200, CFG, False)
     assert len(stream) == 100 and REP not in stream and BEGIN not in stream
+    stream = tokenize_molecule("C" * 200, CFG, True)
+    assert len(stream) == 100 and stream[0] == REP and BEGIN not in stream[1:]
 
 
 @settings(max_examples=300, deadline=None)

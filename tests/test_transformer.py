@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capture import op_outputs
+from capture import SOFTMAX_KERNEL, op_outputs
 from gradcheck import check_param_gradients
 from moldta import autodiff as ad
 from moldta import transformer as mt
@@ -77,6 +77,17 @@ def test_embed_encoded_molecule_as_batch_of_one():
     np.testing.assert_allclose(out.data[0, 0], w.mte.data[seq[0]] + w.pe.data[0])
 
 
+def test_training_attention_block_records_twelve_tape_nodes():
+    # 3 linear -> attention -> linear -> dropout -> residual_layer_norm ->
+    # linear -> gelu -> linear -> dropout -> residual_layer_norm
+    w = tiny_weights()
+    x = ad.Tensor(np.random.default_rng(4).normal(size=(2, 8, 4)), requires_grad=True)
+    out = mt.attention_block(x, np.zeros((2, 1, 1, 8)), w.layers[0],
+                             np.random.default_rng(5))
+    ops = [node._op for node in ad.topological_order(out) if node._op != "leaf"]
+    assert len(ops) <= 12, ops
+
+
 def test_attention_block_zero_weights_finite():
     w = tiny_weights()
     layer = w.layers[0]
@@ -92,8 +103,9 @@ def test_attention_single_unmasked_position_weight_one():
     key_bias = np.full((1, 1, 1, 8), -np.inf)
     key_bias[..., 0] = 0.0
     x = ad.Tensor(np.random.default_rng(2).normal(size=(1, 8, 4)))
-    with op_outputs("softmax_rows") as attn:
+    with op_outputs(SOFTMAX_KERNEL) as attn:
         mt.attention_block(x, key_bias, w.layers[0])
+    assert len(attn) == 1
     # every query attends to the single real key with weight exactly 1
     assert (attn[0][:, :, :, 0] == 1.0).all()
     assert (attn[0][:, :, :, 1:] == 0.0).all()
@@ -110,8 +122,9 @@ def test_attention_matches_hand_computation_two_tokens():
     layer.wq.data, layer.wk.data, layer.wv.data = wq.copy(), wk.copy(), wv.copy()
     layer.bq.data[:] = 0; layer.bk.data[:] = 0; layer.bv.data[:] = 0
     x = np.array([[0.7, -1.2], [0.4, 2.0]])
-    with op_outputs("softmax_rows") as attn:
+    with op_outputs(SOFTMAX_KERNEL) as attn:
         mt.attention_block(ad.Tensor(x[None]), np.zeros((1, 1, 1, 2)), layer)
+    assert len(attn) == 1
     scores = (x @ wq) @ (x @ wk).T / np.sqrt(2.0)
     expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
     expected /= expected.sum(axis=-1, keepdims=True)
@@ -184,8 +197,9 @@ def test_attention_rows_sum_to_one_and_pads_get_zero():
     w = tiny_weights()
     ids = np.array([[1, 6, 7, 8, 0, 0, 0, 0]])
     mask = np.array([[True, True, True, True, False, False, False, False]])
-    with op_outputs("softmax_rows") as attn:
+    with op_outputs(SOFTMAX_KERNEL) as attn:
         mt.encode_ids(ids, mask, w)
+    assert len(attn) == len(w.layers)
     for probs in attn:
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert (probs[..., ~mask[0]] == 0.0).all()
