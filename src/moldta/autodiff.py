@@ -338,23 +338,24 @@ def softmax_rows(a: Tensor, bias) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_bias, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over [B, L, D] projections.
+    """Multi-head scaled dot-product attention of queries q [B, Lq, D] over
+    keys and values k, v [B, Lk, D] -> [B, Lq, D].
 
     Each of the `heads` slices of width D/heads attends with
     softmax(q kᵀ / sqrt(D/heads) + key_bias) v, and the slices are merged
-    back to [B, L, D]. key_bias is a constant that broadcasts to the
-    [B, heads, L, L] scores; a -inf entry gives its key exactly zero weight.
-    A query with no finite score comes out non-finite, which the op's
-    finiteness scan reports.
+    back. key_bias is a constant that broadcasts to the [B, heads, Lq, Lk]
+    scores; a -inf entry gives its key exactly zero weight. A query with no
+    finite score comes out non-finite, which the op's finiteness scan
+    reports.
     """
-    b, length, d = q.data.shape
+    b, _, d = q.data.shape
     dk = d // heads
 
-    def split(t):
-        return t.reshape(b, length, heads, dk).transpose(0, 2, 1, 3)
+    def split(t):  # [B, L, D] -> [B, heads, L, dk], each tensor by its own L
+        return t.reshape(b, t.shape[1], heads, dk).transpose(0, 2, 1, 3)
 
-    def merge(t):
-        return t.transpose(0, 2, 1, 3).reshape(b, length, d)
+    def merge(t):  # [B, heads, L, dk] -> [B, L, D]
+        return t.transpose(0, 2, 1, 3).reshape(b, t.shape[2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     c = 1.0 / np.sqrt(dk)

@@ -184,10 +184,21 @@ class DtiModel:
 
         `p_rep`, when given, is the protein tower's output for exactly these
         protein ids; the tower is then not run again.
+
+        Without an rng (inference) the encoder runs only what the pooling
+        reads: the molecule columns up to the last one holding a real token
+        in any row, and under "rep" pooling a last block for row 0 alone.
+        Neither changes the result in exact arithmetic, since padded keys get
+        zero weight. With an rng (training) it runs every position, so the
+        dropout draws keep their shapes.
         """
         mol_mask = mol_ids != PAD_ID
-        encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, rng)
-        if self.cfg.truncation_pooling == "rep":
+        rep = self.cfg.truncation_pooling == "rep"
+        if rng is None:
+            width = mol_mask.shape[1] - int(mol_mask.any(axis=0)[::-1].argmax())
+            mol_ids, mol_mask = mol_ids[:, :width], mol_mask[:, :width]
+        encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, rng, rep_only=rep and rng is None)
+        if rep:
             m_rep = mt.pool_rep_batch(encoded)
         else:
             m_rep = mt.pool_mean_batch(encoded, mol_mask)

@@ -36,10 +36,6 @@ class TransformerConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.num_heads
-
 
 INIT_STD = 0.02  # standard deviation of every trainable weight matrix at init
 
@@ -122,30 +118,38 @@ def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
 
 
 def attention_block(x: Tensor, key_bias: np.ndarray, layer: LayerWeights,
-                    rng=None) -> Tensor:
+                    rng=None, rep_only: bool = False) -> Tensor:
     """One encoder block over [B, L, D]; key_bias [B, 1, 1, L] is 0 at real
-    keys and -inf at padding. Dropout runs when an rng is given."""
+    keys and -inf at padding. Dropout runs when an rng is given. With
+    rep_only, row 0 alone is the query and the output is [B, 1, D]; keys and
+    values still come from every row."""
     cfg = layer.cfg
-    ctx = ad.attention(ad.linear(x, layer.wq, layer.bq), ad.linear(x, layer.wk, layer.bk),
+    rows = x
+    if rep_only:
+        rows = ad.reshape(ad.take_index(x, 0, axis=1), (x.data.shape[0], 1, cfg.hidden))
+    ctx = ad.attention(ad.linear(rows, layer.wq, layer.bq), ad.linear(x, layer.wk, layer.bk),
                        ad.linear(x, layer.wv, layer.bv), key_bias, cfg.num_heads)
     attn_out = ad.dropout(ad.linear(ctx, layer.wo, layer.bo), cfg.dropout, rng)
-    x = ad.residual_layer_norm(x, attn_out, layer.ln1_g, layer.ln1_b)
+    x = ad.residual_layer_norm(rows, attn_out, layer.ln1_g, layer.ln1_b)
     ff = ad.gelu(ad.linear(x, layer.ff1_w, layer.ff1_b))
     ff = ad.dropout(ad.linear(ff, layer.ff2_w, layer.ff2_b), cfg.dropout, rng)
     return ad.residual_layer_norm(x, ff, layer.ln2_g, layer.ln2_b)
 
 
 def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
-               rng=None) -> Tensor:
+               rng=None, rep_only: bool = False) -> Tensor:
     """Full encoder over an id batch [B, L] -> [B, L, D] that attends only to
-    keys where mask [B, L] is True; dropout runs when an rng is given."""
+    keys where mask [B, L] is True; dropout runs when an rng is given. With
+    rep_only the last block computes row 0 (the [REP] slot) alone and the
+    result is [B, 1, D]."""
     x = embed_ids(ids, w)
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("cannot encode a sequence with no real tokens")
     key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
-    for layer in w.layers:
-        x = attention_block(x, key_bias, layer, rng)
+    last = len(w.layers) - 1
+    for i, layer in enumerate(w.layers):
+        x = attention_block(x, key_bias, layer, rng, rep_only=rep_only and i == last)
     return x
 
 

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients
@@ -240,16 +240,16 @@ def test_embedding_conv1d_rejects_what_the_composed_ops_reject(ids, table_width,
 # ---------------------------------------------------------------------------
 
 def composed_attention(q, k, v, key_bias, heads):
-    b, length, d = q.data.shape
+    b, q_length, d = q.data.shape
     dk = d // heads
 
     def split(t):
-        return ad.transpose(ad.reshape(t, (b, length, heads, dk)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(t, (b, t.data.shape[1], heads, dk)), (0, 2, 1, 3))
 
     scores = ad.scale(ad.matmul(split(q), ad.transpose(split(k), (0, 1, 3, 2))),
                       1.0 / np.sqrt(dk))
     ctx = ad.matmul(ad.softmax_rows(scores, key_bias), split(v))
-    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, length, d))
+    return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, q_length, d))
 
 
 def value_and_grads(op, arrays, weights, *args):
@@ -268,13 +268,16 @@ def key_padding_bias(rng, b, length):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 4), st.integers(1, 5),
-       st.integers(0, 2 ** 32 - 1))
-def test_attention_is_bitwise_the_composed_ops(b, length, heads, head_dim, seed):
+@given(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7), st.integers(1, 4),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example(2, 1, 6, 2, 3, 0)        # one query row over six keys, as the last encoder block
+@example(2, 5, 3, 2, 3, 1)        # more queries than keys
+def test_attention_is_bitwise_the_composed_ops(b, q_length, length, heads, head_dim, seed):
     rng = np.random.default_rng(seed)
-    shape = (b, length, heads * head_dim)
-    arrays = [rng.normal(size=shape) for _ in range(3)]
-    key_bias, weights = key_padding_bias(rng, b, length), rng.normal(size=shape)
+    d = heads * head_dim
+    q_shape, shape = (b, q_length, d), (b, length, d)
+    arrays = [rng.normal(size=q_shape)] + [rng.normal(size=shape) for _ in range(2)]
+    key_bias, weights = key_padding_bias(rng, b, length), rng.normal(size=q_shape)
     fused = value_and_grads(ad.attention, arrays, weights, key_bias, heads)
     composed = value_and_grads(composed_attention, arrays, weights, key_bias, heads)
     for f, c in zip(fused, composed):     # the value, then dq, dk and dv
@@ -576,6 +579,17 @@ def test_grad_attention_with_padded_keys(heads):
     check_gradients(lambda t: ad.reduce_sum(ad.multiply(
         ad.attention(t[0], t[1], t[2], key_bias, heads), Tensor(weights))),
         [RNG.normal(size=(2, 4, 6)) for _ in range(3)])
+
+
+def test_grad_attention_one_query_over_padded_keys():
+    # the shape of the last encoder block under rep pooling: row 0 attends
+    # over every key, with padding at different keys per batch row
+    key_bias = np.array([[0.0, 0.0, -np.inf, 0.0, -np.inf],
+                         [0.0, -np.inf, 0.0, -np.inf, -np.inf]])[:, None, None, :]
+    weights = RNG.normal(size=(2, 1, 6))
+    check_gradients(lambda t: ad.reduce_sum(ad.multiply(
+        ad.attention(t[0], t[1], t[2], key_bias, 3), Tensor(weights))),
+        [RNG.normal(size=(2, 1, 6))] + [RNG.normal(size=(2, 5, 6)) for _ in range(2)])
 
 
 def test_grad_residual_layer_norm():

@@ -1,19 +1,21 @@
 """Combined model: presets, forward wiring, checkpoint fidelity."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moldta import autodiff as ad
 from moldta import model as model_module
 from moldta import transformer as transformer_module
 from moldta.checkpoint import Checkpoint
-from moldta.codec import MOLECULE, PROTEIN, CodecConfig, build_vocab, encode_molecule, encode_protein
-from moldta.interaction import InteractionConfig
+from moldta.codec import (MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab, encode_molecule,
+                          encode_protein)
+from moldta.interaction import InteractionConfig, predict_affinity_batch
 from moldta.model import MODE_PRESETS, DtiModel, ModelConfig
-from moldta.protein_cnn import ProteinCnnConfig
+from moldta.protein_cnn import ProteinCnnConfig, protein_forward_ids
 from moldta.transformer import TransformerConfig
 
 
@@ -142,6 +144,99 @@ def test_predict_batch_size_changes_scores_only_within_bound():
     one = model.predict(mols, prots, batch_size=1)
     eight = model.predict(mols, prots, batch_size=8)
     assert np.max(np.abs(one - eight)) <= 1e-12
+
+
+def two_layer_setup(pooling, seed=5):
+    """tiny_setup with two encoder layers, so both a first and a last block
+    run, under the given truncation pooling."""
+    model, codec, mol_vocab, prot_vocab = tiny_setup()
+    cfg = ModelConfig(codec=codec, transformer=replace(model.cfg.transformer, num_layers=2),
+                      protein=model.cfg.protein, interaction=model.cfg.interaction,
+                      truncation_pooling=pooling)
+    return DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(seed)), codec, prot_vocab
+
+
+def linear_input_rows(monkeypatch, model):
+    """A dict that receives, per encoder weight name, the leading shape of
+    every input ad.linear multiplies by that weight."""
+    names = {id(t): name for name, t in model.tw.named().items()}
+    seen = {}
+    linear = ad.linear
+
+    def recording(x, w, b):
+        if id(w) in names:
+            seen.setdefault(names[id(w)], []).append(x.data.shape[:-1])
+        return linear(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", recording)
+    return seen
+
+
+@pytest.mark.parametrize("pooling", ["rep", "mean"])
+@pytest.mark.parametrize("training", [False, True])
+def test_encoder_rows_and_columns_are_trimmed_at_inference_only(monkeypatch, pooling,
+                                                                training):
+    model, codec, prot_vocab = two_layer_setup(pooling)
+    mol = encode_molecule("CN=C=O", model.mol_vocab, codec, model.cfg.keep_rep_when_truncated)
+    prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
+    seen = linear_input_rows(monkeypatch, model)
+    if training:  # every position runs: dropout draws one number per element
+        model.forward_ids(mol[None], prot[None], np.random.default_rng(0))
+        width = codec.mol_max_len
+    else:
+        model.predict([mol], [prot])
+        width = int((mol != PAD_ID).sum())
+        assert width < codec.mol_max_len
+    # keys and values need every real row; at inference under rep pooling
+    # the last block's query, output projection and FFN run for row 0 alone
+    last_rows = (1, 1) if pooling == "rep" and not training else (1, width)
+    expected = {}
+    for i in range(2):
+        for name in ("wq", "wk", "wv", "wo", "ff1_w", "ff2_w"):
+            rows = last_rows if i == 1 and name not in ("wk", "wv") else (1, width)
+            expected[f"layer{i}.{name}"] = [rows]
+    assert seen == expected
+
+
+def full_width_reference(model, mol, prot):
+    """The pooled molecule vector and the score of one pair from the encoder
+    on the padded ids: every column and, under rep pooling, every row of the
+    last block."""
+    ids, prot_ids = mol[None], prot[None]
+    with ad.no_grad():
+        encoded = transformer_module.encode_ids(ids, ids != PAD_ID, model.tw)
+        if model.cfg.truncation_pooling == "rep":
+            m_rep = transformer_module.pool_rep_batch(encoded)
+        else:
+            m_rep = transformer_module.pool_mean_batch(encoded, ids != PAD_ID)
+        p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, model.pw)
+        return m_rep.data[0], float(predict_affinity_batch(m_rep, p_rep, model.iw).data[0])
+
+
+@pytest.mark.parametrize("pooling", ["rep", "mean"])
+def test_predict_matches_the_untrimmed_full_width_encoder(monkeypatch, pooling):
+    model, codec, prot_vocab = two_layer_setup(pooling)
+    keep_rep = model.cfg.keep_rep_when_truncated
+    smiles = ("C", "CCO", "CN=C=O", "c1ccccc1CCOCN=C=O")  # the last fills the cap of 16
+    mols = [encode_molecule(s, model.mol_vocab, codec, keep_rep) for s in smiles]
+    assert (mols[-1] != PAD_ID).all()
+    prots = [encode_protein(PROTS[i % 3], prot_vocab, codec) for i in range(len(mols))]
+    pooled, scores = zip(*(full_width_reference(model, m, p) for m, p in zip(mols, prots)))
+    # the small initial head damps the encoder's share of a score, so the
+    # pooled vectors the head receives are compared as well
+    received = []
+    head = model_module.predict_affinity_batch
+
+    def recording(m_rep, *args):
+        received.extend(m_rep.data)
+        return head(m_rep, *args)
+
+    monkeypatch.setattr(model_module, "predict_affinity_batch", recording)
+    for batch_size in (1, 3):     # alone, and beside longer molecules
+        received.clear()
+        got = model.predict(mols, prots, batch_size=batch_size)
+        assert np.max(np.abs(got - np.array(scores))) <= 1e-12
+        assert np.max(np.abs(np.array(received) - np.array(pooled))) <= 1e-12
 
 
 def test_from_checkpoint_draws_no_random_weights(monkeypatch):

@@ -24,7 +24,8 @@ def tiny_weights(seed=0):
 
 
 def test_config_validation():
-    assert TransformerConfig(vocab_size=9).head_dim == 16  # 128 / 8
+    cfg = TransformerConfig(vocab_size=9)
+    assert cfg.hidden // cfg.num_heads == 16  # 128 / 8
     with pytest.raises(ValueError, match="divisible"):
         TransformerConfig(vocab_size=9, hidden=10, num_heads=4)
     with pytest.raises(ValueError):
@@ -238,7 +239,7 @@ def test_pool_rep_default_width_is_128():
     mask[0, :3] = True
     enc = mt.encode_ids(ids, mask, w)
     assert mt.pool_rep_batch(enc).data.shape == (1, 128)
-    assert cfg.head_dim == 16
+    assert cfg.hidden // cfg.num_heads == 16
 
 
 def test_pool_rep_gradient_only_through_row_zero():
