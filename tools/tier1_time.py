@@ -1,14 +1,14 @@
-"""Time the tier-1 test suite: the median wall time over repeated runs, with
+"""Time the tier-1 test suite: the median wall time over two runs, with
 acceptance criteria 7 and 8 timed on their own.
 
-    python3 tools/tier1_time.py [SRC_DIR] [--runs N]
+    python3 tools/tier1_time.py [SRC_DIR]
 
 Runs the tier-1 command of ROADMAP.md,
 
     PYTHONPATH=SRC_DIR/src python -m pytest -q --continue-on-collection-errors
 
-from SRC_DIR (default: this checkout), N times one after another (default
-2). Each run writes a JUnit XML report to a temporary file, from which the
+from SRC_DIR (default: this checkout), twice, one run after the other.
+Each run writes a JUnit XML report to a temporary file, from which the
 script reads the pass and fail counts and the time of
 tests/test_acceptance.py::test_criterion_7_pretraining_sanity and
 ::test_criterion_8_finetune_overfit (setup, call and teardown). It prints
@@ -31,6 +31,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 2
 CRITERIA = {"criterion_7_s": "test_criterion_7_pretraining_sanity",
             "criterion_8_s": "test_criterion_8_finetune_overfit"}
 
@@ -66,12 +67,9 @@ def run_once(src_dir: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_dir", nargs="?", type=Path, default=ROOT)
-    parser.add_argument("--runs", type=int, default=2)
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     runs = []
-    for i in range(args.runs):
+    for i in range(RUNS):
         runs.append(run_once(args.src_dir.resolve()))
         print(f"run {i + 1}: {json.dumps(runs[-1])}", flush=True)
     medians = {key: round(statistics.median(r[key] for r in runs), 2)
