@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .codec import MOLECULE, PROTEIN, CodecConfig, Vocab, build_vocab, tokenize_molecule
+from .codec import (MOLECULE, PROTEIN, CodecConfig, Vocab, build_vocab, read_lines,
+                    tokenize_molecule)
 from .data import (format_ranking, load_affinity_dataset, load_candidates,
-                   load_predictions, rank_candidates, read_lines, split_folds)
+                   load_predictions, rank_candidates, split_folds)
 from .errors import DataError, NumericalError
 from .metrics import evaluate
 from .model import MODE_PRESETS, DtiModel, ModelConfig, keep_rep_for, read_meta
@@ -40,8 +41,8 @@ def _int_tuple(raw: str) -> tuple:
 
 # Config key -> (parser, the sections whose field named like the key's last
 # part it sets). Sections are codec, transformer, protein, interaction,
-# model (ModelConfig itself), run (TrainRunConfig) and data. An unset field
-# keeps its dataclass default or the dataset mode's preset.
+# model (ModelConfig itself) and run (TrainRunConfig). An unset field keeps
+# its dataclass default or the dataset mode's preset.
 CONFIG_KEYS = {
     "model.num_layers": (int, ("transformer",)),
     "model.num_heads": (int, ("transformer",)),
@@ -63,9 +64,8 @@ CONFIG_KEYS = {
     "train.checkpoint_interval": (int, ("run",)),
     "train.log_interval": (int, ("run",)),
     "train.seed": (int, ("run",)),
-    "data.heldout_fraction": (float, ("data",)),
+    "data.heldout_fraction": (float, ("run",)),
 }
-HELDOUT_FRACTION = 0.1
 
 
 def load_config(path) -> dict:
@@ -144,20 +144,16 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    sections = _sections(args, "codec", "transformer", "model", "run", "data")
+    sections = _sections(args, "codec", "transformer", "model", "run")
     codec_cfg = _configured(CodecConfig, **sections["codec"])
     lines = [line for line in read_lines(args.corpus) if line]
     if not lines:
         raise DataError(f"{args.corpus}: no molecules")
     vocab = Vocab.load(args.vocab, MOLECULE) if args.vocab else build_vocab(lines, MOLECULE)
     run = _configured(TrainRunConfig, **sections["run"])
-    heldout_fraction = sections["data"].get("heldout_fraction", HELDOUT_FRACTION)
-    if not 0.0 <= heldout_fraction < 1.0:
-        raise UsageError(f"invalid config: heldout_fraction must lie in [0, 1), "
-                         f"got {heldout_fraction!r}")
     rng = np.random.default_rng(run.seed)
     order = rng.permutation(len(lines))
-    n_heldout = int(len(lines) * heldout_fraction)
+    n_heldout = int(len(lines) * run.heldout_fraction)
     heldout = [lines[i] for i in order[:n_heldout]]
     train = [lines[i] for i in order[n_heldout:]]
     if not train:
@@ -314,7 +310,6 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="compute metrics for predictions")
-    common(p)
     p.add_argument("--predictions", help="table with affinity and prediction columns")
     p.add_argument("--checkpoint", help="model checkpoint to run over --data")
     p.add_argument("--data", help="affinity table to predict and score")
@@ -324,7 +319,6 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("rank", help="rank candidate molecules against one target")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--candidates", required=True,
                    help="tab-separated table with id, name, smiles columns")

@@ -3,7 +3,8 @@
 Molecule strings are decorated as [REP] [BEGIN] c1 .. cn [END] and padded
 to a fixed length; protein strings are bare characters padded to a fixed
 length. Vocabularies are closed: characters unseen at build time are hard
-errors at encode time, not an unknown token.
+errors at encode time, not an unknown token. read_lines is the one reader
+of the package's UTF-8 text inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ END = "[END]"
 MASK = "[MASK]"
 
 SPECIALS = {MOLECULE: (PAD, REP, BEGIN, END, MASK), PROTEIN: (PAD,)}
+
+
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file; an unreadable one is a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -66,11 +76,7 @@ class Vocab:
     @classmethod
     def load(cls, path, kind: str) -> "Vocab":
         """Read a vocabulary of the given kind written by save()."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                tokens = tuple(line.rstrip("\n") for line in fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
+        tokens = tuple(read_lines(path))
         if not tokens:
             raise DataError(f"empty vocab file {path}")
         try:

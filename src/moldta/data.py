@@ -15,10 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import encode_molecule, encode_protein
+from .codec import encode_molecule, encode_protein, read_lines
 from .errors import DataError
-from .model import DtiModel
-from .training import pkd_transform
 
 N_FOLDS = 5
 TEST_FRACTION = 1 / 6  # share of rows held out as test when no fold ids are given
@@ -38,17 +36,10 @@ class AffinityRecord:
             raise DataError(f"fold id must lie in 0..{N_FOLDS - 1}, got {self.fold}")
 
 
-def read_lines(path) -> list:
-    """The lines of a UTF-8 text file; an unreadable one is a DataError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    """Parse a header-first TSV into per-row dicts; errors carry line numbers."""
+def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...], parse) -> list:
+    """parse(row) for each non-blank row of a header-first TSV, row being a
+    {column: cell} dict. A ValueError from a row, parse's included, becomes
+    a DataError that names the file and line."""
     lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -63,16 +54,33 @@ def _read_table(path, required: tuple[str, ...], optional: tuple[str, ...] = ())
     unknown = [c for c in header if c not in known]
     if unknown:
         raise DataError(f"{path}: unknown columns {unknown}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise DataError(f"{path} line {lineno}: expected {len(header)} "
-                            f"columns, got {len(cells)}")
-        rows.append((lineno, dict(zip(header, cells))))
-    return rows
+    out = []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
+            out.append(parse(dict(zip(header, cells))))
+    except ValueError as exc:
+        raise DataError(f"{path} line {lineno}: {exc}") from exc
+    return out
+
+
+def _number(cast, text: str, what: str):
+    """cast(text); a cell it cannot parse is a ValueError naming it a bad `what`."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"bad {what} {text!r}") from exc
+
+
+def pkd_transform(kd_nanomolar: float) -> float:
+    """Dissociation constant in nanomolar -> -log10(kd / 1e9)."""
+    if kd_nanomolar <= 0:
+        raise ValueError(f"dissociation constant must be positive, got {kd_nanomolar}")
+    return -math.log10(kd_nanomolar / 1e9)
 
 
 def load_affinity_dataset(path, mode: str, raw_kd: bool):
@@ -82,31 +90,15 @@ def load_affinity_dataset(path, mode: str, raw_kd: bool):
         raise DataError(f"unknown dataset mode {mode!r}")
     if raw_kd and mode != "davis":
         raise DataError("raw_kd applies to davis mode only")
-    rows = _read_table(path, required=("smiles", "fasta", "affinity"), optional=("fold",))
-    records = []
-    for lineno, row in rows:
-        try:
-            affinity = float(row["affinity"])
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: bad affinity "
-                            f"{row['affinity']!r}") from exc
-        if raw_kd:
-            try:
-                affinity = pkd_transform(affinity)
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-        fold = None
-        if "fold" in row and row["fold"] != "":
-            try:
-                fold = int(row["fold"])
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: bad fold id "
-                                f"{row['fold']!r}") from exc
-        try:
-            records.append(AffinityRecord(smiles=row["smiles"], fasta=row["fasta"],
-                                          affinity=affinity, fold=fold))
-        except DataError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from exc
+
+    def parse(row):
+        affinity = _number(float, row["affinity"], "affinity")
+        fold = row.get("fold", "")
+        return AffinityRecord(smiles=row["smiles"], fasta=row["fasta"],
+                              affinity=pkd_transform(affinity) if raw_kd else affinity,
+                              fold=_number(int, fold, "fold id") if fold else None)
+
+    records = _read_table(path, ("smiles", "fasta", "affinity"), ("fold",), parse)
     if not records:
         raise DataError(f"{path}: no data rows")
     return records
@@ -146,14 +138,7 @@ def split_folds(records, seed: int) -> FoldSplit:
     order = rng.permutation(len(records))
     n_test = math.ceil(len(records) * TEST_FRACTION)
     test = [records[i] for i in order[:n_test]]
-    rest = [records[i] for i in order[n_test:]]
-    base, extra = divmod(len(rest), N_FOLDS)
-    folds = []
-    start = 0
-    for i in range(N_FOLDS):
-        size = base + (1 if i < extra else 0)
-        folds.append(rest[start:start + size])
-        start += size
+    folds = [[records[i] for i in part] for part in np.array_split(order[n_test:], N_FOLDS)]
     return FoldSplit(folds=folds, test=test)
 
 
@@ -178,18 +163,16 @@ class RankedCandidate:
 
 
 def load_candidates(path):
-    rows = _read_table(path, required=("id", "name", "smiles"))
-    out = []
-    for _, row in rows:
-        out.append(Candidate(compound_id=row["id"], compound_name=row["name"] or None,
-                             smiles=row["smiles"]))
+    out = _read_table(path, ("id", "name", "smiles"), (), lambda row: Candidate(
+        compound_id=row["id"], compound_name=row["name"] or None, smiles=row["smiles"]))
     if not out:
         raise DataError(f"{path}: no candidates")
     return out
 
 
-def rank_candidates(candidates, target_fasta: str, model: DtiModel):
-    """Score every candidate against one target and sort descending.
+def rank_candidates(candidates, target_fasta: str, model):
+    """Score every candidate against one target with a DtiModel and sort
+    descending.
 
     Unencodable molecules become (id, reason) error entries, and the ranking
     proceeds over the rest. Score ties break by compound_id ascending; each
@@ -229,19 +212,21 @@ def format_ranking(ranked) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _prediction_pair(row) -> tuple:
+    """(affinity, prediction) of one predictions row, both finite."""
+    try:
+        pair = float(row["affinity"]), float(row["prediction"])
+    except ValueError as exc:
+        raise ValueError("bad number") from exc
+    if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        raise ValueError("affinity and prediction must be finite")
+    return pair
+
+
 def load_predictions(path):
     """Read an evaluation table with affinity and prediction columns."""
-    rows = _read_table(path, required=("affinity", "prediction"))
-    y, y_hat = [], []
-    for lineno, row in rows:
-        try:
-            affinity, prediction = float(row["affinity"]), float(row["prediction"])
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: bad number") from exc
-        if not (math.isfinite(affinity) and math.isfinite(prediction)):
-            raise DataError(f"{path} line {lineno}: affinity and prediction must be finite")
-        y.append(affinity)
-        y_hat.append(prediction)
-    if not y:
+    pairs = _read_table(path, ("affinity", "prediction"), (), _prediction_pair)
+    if not pairs:
         raise DataError(f"{path}: no prediction rows")
+    y, y_hat = zip(*pairs)
     return np.array(y), np.array(y_hat)

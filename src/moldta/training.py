@@ -1,5 +1,5 @@
 """Masked-token example generation, pretraining and fine-tuning loops,
-the Adam optimizer, and the affinity-score log transform.
+and the Adam optimizer.
 
 All randomness in a run derives from one 64-bit seed; runs are
 deterministic given identical seed, config and inputs.
@@ -133,9 +133,10 @@ class TrainRunConfig:
     steps: int = 1000              # pretraining length
     epochs: int = 10               # fine-tuning length
     learning_rate: float = 1e-4
-    warmup_fraction: float = 0.01  # pretraining linear warmup share
+    warmup_fraction: float = 0.01  # share of all updates spent in linear warmup
     checkpoint_interval: int = 0   # steps between periodic saves; 0 = off
     log_interval: int = 100
+    heldout_fraction: float = 0.1  # share of the pretraining corpus held out
 
     def __post_init__(self):
         if self.seed < 0:
@@ -151,13 +152,9 @@ class TrainRunConfig:
             raise ValueError("log_interval must be at least 1")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be non-negative (0 = off)")
-
-
-def pkd_transform(kd_nanomolar: float) -> float:
-    """Dissociation constant in nanomolar -> -log10(kd / 1e9)."""
-    if kd_nanomolar <= 0:
-        raise ValueError(f"dissociation constant must be positive, got {kd_nanomolar}")
-    return -math.log10(kd_nanomolar / 1e9)
+        if not 0.0 <= self.heldout_fraction < 1.0:
+            raise ValueError(f"heldout_fraction must lie in [0, 1), "
+                             f"got {self.heldout_fraction!r}")
 
 
 # ---------------------------------------------------------------------------

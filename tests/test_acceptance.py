@@ -19,14 +19,14 @@ from moldta.checkpoint import Checkpoint
 from moldta.cli import main
 from moldta.codec import (MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab,
                           encode_molecule, encode_protein)
-from moldta.data import Candidate, rank_candidates
+from moldta.data import Candidate, pkd_transform, rank_candidates
 from moldta.interaction import InteractionConfig, mse_loss
 from moldta.metrics import aupr, binarize, concordance_index, rm2_index
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
 from moldta.training import (TrainRunConfig, encode_affinity_data, finetune,
                              load_warm_start, make_masked_example, masked_eval_batches,
-                             masked_token_eval, pkd_transform, pretrain)
+                             masked_token_eval, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 from toydata import markov_molecules, random_proteins, synthetic_affinity_records
 

@@ -423,6 +423,28 @@ def test_pretrain_heldout_fraction_outside_unit_interval_exits_one(workspace, ca
     assert not (workspace / "pre").exists()
 
 
+def test_finetune_heldout_fraction_outside_unit_interval_exits_one(workspace, capsys):
+    cfg = workspace / "heldout.txt"
+    cfg.write_text(TINY_CONFIG + "data.heldout_fraction = 1.5\n")
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(workspace / "out"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("usage error: invalid config: heldout_fraction "
+                                       "must lie in [0, 1), got 1.5\n")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--checkpoint", "m.ckpt", "--candidates", "c.tsv", "--target-fasta", "MKT"],
+    ["evaluate", "--predictions", "p.tsv"],
+], ids=["rank", "evaluate"])
+@pytest.mark.parametrize("option", [["--config", "config.txt"], ["--seed", "1"],
+                                    ["--deterministic"]], ids=lambda o: o[0])
+def test_rank_and_evaluate_reject_training_options(capsys, command, option):
+    assert main([*command, *option]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: unrecognized arguments: {' '.join(option)}\n"
+
+
 def test_pretrain_rejects_unknown_pooling(workspace, capsys):
     cfg = workspace / "pool.txt"
     cfg.write_text(TINY_CONFIG + "model.truncation_pooling = rpe\n")
@@ -524,6 +546,52 @@ def test_input_not_utf8_exits_two_naming_the_file(workspace, capsys, args):
     assert err.startswith(f"data error: cannot read {bad}: ")
     assert "can't decode byte" in err
     assert not (workspace / "out").exists()
+
+
+AFFINITY_HEADER = "smiles\tfasta\taffinity\n"
+PREDICTION_HEADER = "affinity\tprediction\n"
+FINETUNE = ["finetune", "--data", "x.tsv", "--out", "out"]
+EVALUATE = ["evaluate", "--predictions", "p.tsv"]
+MISSING = "No such file or directory"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"x.tsv": AFFINITY_HEADER + "CCO\tMKT\tx1\n"}, FINETUNE,
+     "x.tsv line 2: bad affinity 'x1'"),
+    ({"x.tsv": AFFINITY_HEADER + "CCO\tMKT\t5.0\n\nCCN\tMKT\tnan\n"}, FINETUNE,
+     "x.tsv line 4: affinity must be finite, got nan"),
+    ({"x.tsv": "smiles\tfasta\taffinity\tfold\nCCO\tMKT\t5.0\ta\n"}, FINETUNE,
+     "x.tsv line 2: bad fold id 'a'"),
+    ({"x.tsv": "smiles\tfasta\taffinity\tfold\nCCO\tMKT\t5.0\t1\nCCN\tMKT\t5.0\t7\n"},
+     FINETUNE, "x.tsv line 3: fold id must lie in 0..4, got 7"),
+    ({"x.tsv": AFFINITY_HEADER + "CCO\tMKT\t100\nCCN\tMKT\t-1\n"},
+     [*FINETUNE, "--mode", "davis", "--raw-kd"],
+     "x.tsv line 3: dissociation constant must be positive, got -1.0"),
+    ({"x.tsv": AFFINITY_HEADER + "CCO\tMKT\n"}, FINETUNE,
+     "x.tsv line 2: expected 3 columns, got 2"),
+    ({"x.tsv": AFFINITY_HEADER + "\n"}, FINETUNE, "x.tsv: no data rows"),
+    ({"p.tsv": PREDICTION_HEADER + "1.0\t1.5\n\n2.0\tx\n"}, EVALUATE,
+     "p.tsv line 4: bad number"),
+    ({"p.tsv": PREDICTION_HEADER + "1.0\t1.5\n2.0\tinf\n"}, EVALUATE,
+     "p.tsv line 3: affinity and prediction must be finite"),
+    ({"p.tsv": PREDICTION_HEADER}, EVALUATE, "p.tsv: no prediction rows"),
+    ({}, FINETUNE, f"cannot read x.tsv: [Errno 2] {MISSING}: 'x.tsv'"),
+    ({}, EVALUATE, f"cannot read p.tsv: [Errno 2] {MISSING}: 'p.tsv'"),
+    ({"corpus.txt": "CCO\n"},
+     ["pretrain", "--corpus", "corpus.txt", "--vocab", "v.txt", "--out", "out"],
+     f"cannot read v.txt: [Errno 2] {MISSING}: 'v.txt'"),
+], ids=["bad-affinity", "nan-affinity", "bad-fold-id", "fold-out-of-range", "negative-kd",
+        "ragged-row", "no-rows", "bad-number", "inf-prediction", "no-prediction-rows",
+        "missing-table", "missing-predictions", "missing-vocab"])
+def test_malformed_input_error_text(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_requires_exactly_one_source(workspace, capsys):

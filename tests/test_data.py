@@ -1,8 +1,14 @@
 """Dataset ingestion, fold partitioning, and candidate ranking."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import moldta
 from moldta.codec import MOLECULE, PROTEIN, CodecConfig, build_vocab
 from moldta.data import (AffinityRecord, format_ranking, load_affinity_dataset,
                          load_candidates, load_predictions, rank_candidates,
@@ -91,6 +97,15 @@ def test_load_ragged_row(tmp_path):
         load_affinity_dataset(path, mode="kiba", raw_kd=False)
 
 
+def test_importing_data_loads_no_model_training_or_scipy():
+    code = ("import sys, moldta.data; print(sorted(m for m in sys.modules if m in "
+            "('moldta.model', 'moldta.training', 'moldta.autodiff', 'scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(moldta.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # folds
 # ---------------------------------------------------------------------------
@@ -108,6 +123,13 @@ def test_split_folds_auto_proportions():
     assert sizes == [5009, 5009, 5009, 5009, 5010]
     train, dev = split.splits()[0]
     assert len(train) + len(dev) + len(split.test) == 30056
+    # dealt in shuffled order after the test rows, the one larger fold first
+    assert [len(f) for f in split.folds] == [5010, 5009, 5009, 5009, 5009]
+    order = np.random.default_rng(0).permutation(30056)
+    assert [id(r) for r in split.test] == [id(records[i]) for i in order[:5010]]
+    starts = [5010, 10020, 15029, 20038, 25047, 30056]
+    for fold, start, stop in zip(split.folds, starts, starts[1:]):
+        assert [id(r) for r in fold] == [id(records[i]) for i in order[start:stop]]
 
 
 def test_split_folds_disjoint_and_complete():

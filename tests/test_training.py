@@ -10,13 +10,14 @@ from moldta.autodiff import Tensor
 from moldta.codec import (MASK, MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab,
                           encode_molecule)
 from moldta.checkpoint import Checkpoint
+from moldta.data import pkd_transform
 from moldta.errors import DataError, NumericalError
 from moldta.interaction import InteractionConfig
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
 from moldta.training import (AdamOptimizer, TrainRunConfig, encode_affinity_data, finetune,
                              load_warm_start, make_masked_example, masked_eval_batches,
-                             masked_token_eval, pkd_transform, pretrain)
+                             masked_token_eval, pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 
 
@@ -632,3 +633,9 @@ def test_run_config_validation():
         TrainRunConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainRunConfig(warmup_fraction=2.0)
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
+def test_run_config_heldout_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match=r"heldout_fraction must lie in \[0, 1\), got "):
+        TrainRunConfig(heldout_fraction=fraction)

@@ -14,10 +14,15 @@ wrong kind, a two-record target file). At seed 1 it also runs pretrain
 molecule cap of 6 tokens, which truncates most molecules: once with
 `rep` and once with `mean` truncation pooling; then a finetune under the
 `mean` config warm-started from the `rep` pretraining checkpoint, whose
-pooling does not match (a data error). Last, it runs rank on three copies
-of the seed-1 kiba checkpoint whose metadata holds a mistyped value: a
-float `model.transformer.num_layers` (1.5), an integer `mol_vocab` (5) or
-an integer token in `mol_vocab` (7 at id 5); the tensors are left as they
+pooling does not match (a data error). Then it runs five malformed
+inputs, each a data error naming its line (finetune on a table with a bad
+affinity, one with a bad fold id, a davis table with a zero Kd under
+--raw-kd and one with a ragged row; evaluate on predictions holding inf),
+and rank given --seed, an option only the training commands take (a
+usage error). Last, it runs rank on three copies of the seed-1 kiba
+checkpoint whose metadata holds a mistyped value: a float
+`model.transformer.num_layers` (1.5), an integer `mol_vocab` (5) or an
+integer token in `mol_vocab` (7 at id 5); the tensors are left as they
 are. Every command runs with relative paths, so its output does not
 depend on where the directory is.
 
@@ -52,6 +57,14 @@ TRUNCATING = "model.mol_max_len = 6\ntrain.checkpoint_interval = 5\n"
 MISTYPED = (("num-layers-float", ("model", "transformer", "num_layers"), 1.5),
             ("mol-vocab-int", ("mol_vocab",), 5),
             ("mol-vocab-token-int", ("mol_vocab", 5), 7))
+# malformed input files; {row} stands for a well-formed smiles and fasta pair
+MALFORMED = {
+    "bad_affinity.tsv": "smiles\tfasta\taffinity\n{row}\tx1\n",
+    "bad_fold.tsv": "smiles\tfasta\taffinity\tfold\n{row}\t5.0\t1\n{row}\t5.0\ta\n",
+    "zero_kd.tsv": "smiles\tfasta\taffinity\n{row}\t10\n\n{row}\t0\n",
+    "ragged.tsv": "smiles\tfasta\taffinity\n{row}\t5.0\n{row}\n",
+    "inf_predictions.tsv": "affinity\tprediction\n1.0\t1.5\n2.0\tinf\n",
+}
 
 
 def cli_test_inputs() -> dict:
@@ -99,6 +112,9 @@ def write_inputs(work: Path, inputs: dict):
     (work / "target.fasta").write_text(f">one\n{prots[0][:14]}\n{prots[0][14:]}\n")
     (work / "two.fasta").write_text(f">first\n{prots[0]}\n>second\n{prots[1]}\n")
     (work / "protein_vocab.txt").write_text("C\nN\n")
+    row = f"{smis[0]}\t{prots[0]}"
+    for name, text in MALFORMED.items():
+        (work / name).write_text(text.format(row=row))
 
 
 def matrix(prots) -> list:
@@ -149,6 +165,17 @@ def matrix(prots) -> list:
                  ["finetune", "--data", "kiba.tsv", "--mode", "kiba", "--warm-start",
                   "truncate-rep/pre/pretrain.ckpt", "--out", "truncate-mismatch",
                   "--config", "truncate_mean.txt", "--seed", str(SEEDS[0])]))
+    malformed = ["finetune", "--out", "malformed", "--data"]
+    runs += [
+        ("malformed-bad-affinity", [*malformed, "bad_affinity.tsv"]),
+        ("malformed-bad-fold-id", [*malformed, "bad_fold.tsv"]),
+        ("malformed-raw-kd-zero", [*malformed, "zero_kd.tsv", "--mode", "davis", "--raw-kd"]),
+        ("malformed-ragged-row", [*malformed, "ragged.tsv"]),
+        ("malformed-inf-prediction", ["evaluate", "--predictions", "inf_predictions.tsv"]),
+        ("rank-seed-option", ["rank", "--checkpoint", f"seed{SEEDS[0]}/kiba/model.ckpt",
+                              "--candidates", "candidates.tsv", "--target-fasta", prots[0],
+                              "--seed", str(SEEDS[0])]),
+    ]
     return runs
 
 
