@@ -272,6 +272,20 @@ def take_index(a: Tensor, index: int, axis: int) -> Tensor:
     return _result(data, (a,), backward_fn, "take_index")
 
 
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Rows index [B, K] of each batch entry of a [B, L, D] -> [B, K, D];
+    an index may repeat. Backward scatter-adds into zeros of a's shape."""
+    index = np.asarray(index)
+    b, length, width = a.data.shape
+    data = np.take_along_axis(a.data, index[:, :, None], axis=1)
+    def backward_fn(grad):
+        g = np.zeros((b * length, width), dtype=grad.dtype)
+        np.add.at(g, (np.arange(b)[:, None] * length + index).reshape(-1),
+                  grad.reshape(-1, width))
+        return (g.reshape(a.data.shape),)
+    return _result(data, (a,), backward_fn, "gather_rows")
+
+
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
     def backward_fn(grad):

@@ -30,6 +30,9 @@ class AffinityRecord:
     fold: Optional[int] = None
 
     def __post_init__(self):
+        for field in ("smiles", "fasta"):
+            if not getattr(self, field):
+                raise DataError(f"empty {field} cell")
         if not math.isfinite(self.affinity):
             raise DataError(f"affinity must be finite, got {self.affinity}")
         if self.fold is not None and not 0 <= self.fold < N_FOLDS:

@@ -162,13 +162,25 @@ class TrainRunConfig:
 # ---------------------------------------------------------------------------
 
 def _masked_lm_logits(example: MaskedExample, w, rng=None):
-    """LM logits at the labelled positions, and the original ids there."""
+    """LM logits at the labelled positions, and the original ids there.
+
+    The last encoder block runs only at the masked positions, so its
+    dropout draws are [B, K, D]: row b queries its labelled positions in
+    slots 0..n_b-1 of K (the largest count in any row), and its spare slots
+    query position 0, whose outputs are never read. Labels are in row-major
+    order, so label i sits in slot i - (index of its row's first label) and
+    its encoding at flat row row * K + slot.
+    """
     rows, positions, truths = example.labels.T
-    b, length = example.input_ids.shape
+    b = len(example.input_ids)
+    slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    k = int(slots.max()) + 1
+    queries = np.zeros((b, k), dtype=np.int64)
+    queries[rows, slots] = positions
     # the masker never writes PAD_ID, so it still marks the padding
-    enc = mt.encode_ids(example.input_ids, example.input_ids != PAD_ID, w, rng)
-    flat = ad.reshape(enc, (b * length, w.cfg.hidden))
-    picked = ad.embedding_lookup(flat, rows * length + positions)
+    enc = mt.encode_ids(example.input_ids, example.input_ids != PAD_ID, w, rng, queries)
+    flat = ad.reshape(enc, (b * k, w.cfg.hidden))
+    picked = ad.embedding_lookup(flat, rows * k + slots)
     return mt.lm_logits(picked, w), truths
 
 

@@ -118,15 +118,14 @@ def embed_ids(ids: np.ndarray, w: TransformerWeights) -> Tensor:
 
 
 def attention_block(x: Tensor, key_bias: np.ndarray, layer: LayerWeights,
-                    rng=None, rep_only: bool = False) -> Tensor:
+                    rng=None, queries=None) -> Tensor:
     """One encoder block over [B, L, D]; key_bias [B, 1, 1, L] is 0 at real
-    keys and -inf at padding. Dropout runs when an rng is given. With
-    rep_only, row 0 alone is the query and the output is [B, 1, D]; keys and
-    values still come from every row."""
+    keys and -inf at padding. Dropout runs when an rng is given, over the
+    block's output shape. With queries [B, K] (row indices into L) only
+    those rows are computed and the output is [B, K, D]; keys and values
+    still come from every row."""
     cfg = layer.cfg
-    rows = x
-    if rep_only:
-        rows = ad.reshape(ad.take_index(x, 0, axis=1), (x.data.shape[0], 1, cfg.hidden))
+    rows = x if queries is None else ad.gather_rows(x, queries)
     ctx = ad.attention(ad.linear(rows, layer.wq, layer.bq), ad.linear(x, layer.wk, layer.bk),
                        ad.linear(x, layer.wv, layer.bv), key_bias, cfg.num_heads)
     attn_out = ad.dropout(ad.linear(ctx, layer.wo, layer.bo), cfg.dropout, rng)
@@ -137,11 +136,12 @@ def attention_block(x: Tensor, key_bias: np.ndarray, layer: LayerWeights,
 
 
 def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
-               rng=None, rep_only: bool = False) -> Tensor:
+               rng=None, queries=None) -> Tensor:
     """Full encoder over an id batch [B, L] -> [B, L, D] that attends only to
     keys where mask [B, L] is True; dropout runs when an rng is given. With
-    rep_only the last block computes row 0 (the [REP] slot) alone and the
-    result is [B, 1, D]."""
+    queries [B, K] the last block computes only those rows of each sequence
+    and the result is [B, K, D]: row k of sequence b is the encoding of
+    position queries[b, k]."""
     x = embed_ids(ids, w)
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
@@ -149,7 +149,7 @@ def encode_ids(ids: np.ndarray, mask: np.ndarray, w: TransformerWeights,
     key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
     last = len(w.layers) - 1
     for i, layer in enumerate(w.layers):
-        x = attention_block(x, key_bias, layer, rng, rep_only=rep_only and i == last)
+        x = attention_block(x, key_bias, layer, rng, queries if i == last else None)
     return x
 
 

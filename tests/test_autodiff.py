@@ -177,6 +177,21 @@ def test_embedding_lookup_gather_and_scatter():
     np.testing.assert_array_equal(table.grad[:, 0], [1.0, 2.0, 0.0, 1.0])
 
 
+def test_gather_rows_agrees_with_a_loop_oracle():
+    a = Tensor(RNG.normal(size=(3, 5, 4)), requires_grad=True)
+    index = np.array([[0, 0], [4, 1], [2, 2]])  # rows 0 and 2 repeat a position
+    out = ad.gather_rows(a, index)
+    assert out.data.shape == (3, 2, 4)
+    weights = RNG.normal(size=(3, 2, 4))
+    ad.backward(ad.reduce_sum(ad.multiply(out, Tensor(weights))))
+    expected_grad = np.zeros((3, 5, 4))
+    for b in range(3):
+        for k in range(2):
+            np.testing.assert_array_equal(out.data[b, k], a.data[b, index[b, k]])
+            expected_grad[b, index[b, k]] += weights[b, k]
+    np.testing.assert_array_equal(a.grad, expected_grad)
+
+
 def test_embedding_lookup_out_of_range():
     table = Tensor(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="out of range"):
@@ -653,6 +668,14 @@ def test_grad_embedding_lookup():
     ids = np.array([[0, 2], [2, 1]])
     check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.embedding_lookup(t[0], ids))),
                     [RNG.normal(size=(3, 4))])
+
+
+def test_grad_gather_rows():
+    index = np.array([[3, 0, 3], [1, 1, 2]])
+    weights = Tensor(RNG.normal(size=(2, 3, 4)))
+    check_gradients(lambda t: ad.reduce_sum(ad.multiply(ad.gelu(ad.gather_rows(t[0], index)),
+                                                        weights)),
+                    [RNG.normal(size=(2, 4, 4))])
 
 
 @pytest.mark.parametrize("with_bias", [True, False])

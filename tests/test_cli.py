@@ -570,6 +570,9 @@ MISSING = "No such file or directory"
     ({"x.tsv": AFFINITY_HEADER + "CCO\tMKT\n"}, FINETUNE,
      "x.tsv line 2: expected 3 columns, got 2"),
     ({"x.tsv": AFFINITY_HEADER + "\n"}, FINETUNE, "x.tsv: no data rows"),
+    ({"x.tsv": AFFINITY_HEADER + "CCO\tMKT\t5.0\n\tMKT\t5.0\n"}, FINETUNE,
+     "x.tsv line 3: empty smiles cell"),
+    ({"x.tsv": AFFINITY_HEADER + "CCO\t\t5.0\n"}, FINETUNE, "x.tsv line 2: empty fasta cell"),
     ({"p.tsv": PREDICTION_HEADER + "1.0\t1.5\n\n2.0\tx\n"}, EVALUATE,
      "p.tsv line 4: bad number"),
     ({"p.tsv": PREDICTION_HEADER + "1.0\t1.5\n2.0\tinf\n"}, EVALUATE,
@@ -581,8 +584,8 @@ MISSING = "No such file or directory"
      ["pretrain", "--corpus", "corpus.txt", "--vocab", "v.txt", "--out", "out"],
      f"cannot read v.txt: [Errno 2] {MISSING}: 'v.txt'"),
 ], ids=["bad-affinity", "nan-affinity", "bad-fold-id", "fold-out-of-range", "negative-kd",
-        "ragged-row", "no-rows", "bad-number", "inf-prediction", "no-prediction-rows",
-        "missing-table", "missing-predictions", "missing-vocab"])
+        "ragged-row", "no-rows", "empty-smiles", "empty-fasta", "bad-number", "inf-prediction",
+        "no-prediction-rows", "missing-table", "missing-predictions", "missing-vocab"])
 def test_malformed_input_error_text(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

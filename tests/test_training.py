@@ -4,6 +4,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moldta import transformer as mt
 from moldta.autodiff import Tensor
@@ -15,9 +17,10 @@ from moldta.errors import DataError, NumericalError
 from moldta.interaction import InteractionConfig
 from moldta.model import DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig
-from moldta.training import (AdamOptimizer, TrainRunConfig, encode_affinity_data, finetune,
-                             load_warm_start, make_masked_example, masked_eval_batches,
-                             masked_token_eval, pretrain)
+from moldta.training import (AdamOptimizer, MaskedExample, TrainRunConfig, _masked_lm_logits,
+                             encode_affinity_data, finetune, load_warm_start,
+                             make_masked_example, masked_eval_batches, masked_token_eval,
+                             pretrain)
 from moldta.transformer import TransformerConfig, TransformerWeights
 
 
@@ -263,6 +266,50 @@ def test_masking_statistics_and_special_token_immunity():
     assert abs(masked / selected - 0.80) < 0.01
     assert abs(replaced / selected - 0.10) < 0.01
     assert abs(kept / selected - 0.10) < 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text("CNO=()c1", min_size=1, max_size=14), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_masking_labels_are_sorted_by_row_then_position(smiles, seed):
+    # _masked_lm_logits places label i by its rank within its row, which
+    # holds only while labels come sorted by (row, position)
+    vocab = build_vocab(["CNO=()c1"], MOLECULE)
+    cfg = CodecConfig(mol_max_len=10)  # molecules past 8 characters truncate
+    ids = np.stack([encode_molecule(s, vocab, cfg, True) for s in smiles])
+    rows, positions, _ = make_masked_example(ids, vocab, np.random.default_rng(seed)).labels.T
+    np.testing.assert_array_equal(np.lexsort((positions, rows)), np.arange(len(rows)))
+    assert len(set(zip(rows.tolist(), positions.tolist()))) == len(rows)
+
+
+def test_masked_lm_logits_equal_the_full_block_logits_at_the_labels(monkeypatch):
+    vocab = build_vocab(MIXED, MOLECULE)
+    cfg = CodecConfig(mol_max_len=10)
+    ids = np.stack([encode_molecule(s, vocab, cfg, True) for s in MIXED])
+    labels = np.array([[0, 2, ids[0, 2]], [0, 5, ids[0, 5]], [0, 6, ids[0, 6]],
+                       [1, 2, ids[1, 2]],                      # one masked position
+                       [5, 1, ids[5, 1]], [5, 9, ids[5, 9]],
+                       [7, 2, ids[7, 2]], [7, 3, ids[7, 3]]]
+                      + [[row, 2, ids[row, 2]] for row in (2, 3, 4, 6)])
+    labels = labels[np.lexsort((labels[:, 1], labels[:, 0]))]
+    example = MaskedExample(input_ids=ids, labels=labels)
+    w = TransformerWeights(TransformerConfig(len(vocab), num_layers=2, num_heads=2, hidden=8,
+                                             intermediate=12, max_len=10),
+                           np.random.default_rng(4))
+    shapes = []
+    encode = mt.encode_ids
+
+    def recording(*args, **kwargs):
+        out = encode(*args, **kwargs)
+        shapes.append(out.data.shape)
+        return out
+
+    monkeypatch.setattr(mt, "encode_ids", recording)
+    logits, truths = _masked_lm_logits(example, w)
+    full = mt.lm_logits(encode(ids, ids != PAD_ID, w), w).data[labels[:, 0], labels[:, 1]]
+    assert shapes == [(len(MIXED), 3, 8)]    # the last block ran at K = 3 rows per molecule
+    np.testing.assert_array_equal(truths, labels[:, 2])
+    assert np.max(np.abs(logits.data - full)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

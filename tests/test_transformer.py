@@ -224,6 +224,25 @@ def test_training_dropout_changes_output():
     assert not np.array_equal(a.data, b.data)
 
 
+TWO_LAYERS = TransformerConfig(vocab_size=12, num_layers=2, num_heads=2, hidden=4,
+                               intermediate=6, max_len=8)
+PADDED = np.array([[1, 6, 7, 8, 5, 0, 0, 0], [1, 9, 0, 0, 0, 0, 0, 0],
+                   [1, 2, 3, 4, 5, 6, 7, 8]])
+
+
+@pytest.mark.parametrize("queries", [np.zeros((3, 1), dtype=np.int64),
+                                     np.array([[4, 0, 2], [1, 1, 0], [7, 3, 3]])],
+                         ids=["rep-row", "repeated-rows"])
+def test_encode_ids_queries_equal_those_rows_of_the_full_encoding(queries):
+    w = TransformerWeights(TWO_LAYERS, np.random.default_rng(3))
+    mask = PADDED != 0
+    full = mt.encode_ids(PADDED, mask, w)
+    out = mt.encode_ids(PADDED, mask, w, queries=queries)
+    assert out.data.shape == queries.shape + (4,)
+    reference = np.take_along_axis(full.data, queries[:, :, None], axis=1)
+    assert np.max(np.abs(out.data - reference)) <= 1e-12
+
+
 def test_pool_rep_returns_row_zero():
     x = np.random.default_rng(4).normal(size=(1, 8, 4))
     out = mt.pool_rep_batch(ad.Tensor(x))

@@ -14,10 +14,12 @@ wrong kind, a two-record target file). At seed 1 it also runs pretrain
 molecule cap of 6 tokens, which truncates most molecules: once with
 `rep` and once with `mean` truncation pooling; then a finetune under the
 `mean` config warm-started from the `rep` pretraining checkpoint, whose
-pooling does not match (a data error). Then it runs five malformed
+pooling does not match (a data error). Then it runs seven malformed
 inputs, each a data error naming its line (finetune on a table with a bad
 affinity, one with a bad fold id, a davis table with a zero Kd under
---raw-kd and one with a ragged row; evaluate on predictions holding inf),
+--raw-kd, one with a ragged row, and on the tiny config the kiba table
+with an empty smiles cell and with an empty fasta cell; evaluate on
+predictions holding inf),
 and rank given --seed, an option only the training commands take (a
 usage error). Last, it runs rank on three copies of the seed-1 kiba
 checkpoint whose metadata holds a mistyped value: a float
@@ -115,6 +117,11 @@ def write_inputs(work: Path, inputs: dict):
     row = f"{smis[0]}\t{prots[0]}"
     for name, text in MALFORMED.items():
         (work / name).write_text(text.format(row=row))
+    # the kiba table with the first data row's smiles or fasta cell emptied
+    for name, column in (("empty_smiles.tsv", 0), ("empty_fasta.tsv", 1)):
+        rows = [line.split("\t") for line in kiba]
+        rows[1][column] = ""
+        (work / name).write_text("\n".join("\t".join(r) for r in rows) + "\n")
 
 
 def matrix(prots) -> list:
@@ -171,6 +178,8 @@ def matrix(prots) -> list:
         ("malformed-bad-fold-id", [*malformed, "bad_fold.tsv"]),
         ("malformed-raw-kd-zero", [*malformed, "zero_kd.tsv", "--mode", "davis", "--raw-kd"]),
         ("malformed-ragged-row", [*malformed, "ragged.tsv"]),
+        ("malformed-empty-smiles", [*malformed, "empty_smiles.tsv", "--config", "config.txt"]),
+        ("malformed-empty-fasta", [*malformed, "empty_fasta.tsv", "--config", "config.txt"]),
         ("malformed-inf-prediction", ["evaluate", "--predictions", "inf_predictions.tsv"]),
         ("rank-seed-option", ["rank", "--checkpoint", f"seed{SEEDS[0]}/kiba/model.ckpt",
                               "--candidates", "candidates.tsv", "--target-fasta", prots[0],
