@@ -256,8 +256,8 @@ def cmd_rank(args) -> int:
         fasta = args.target_fasta
     if not fasta:
         raise DataError("empty target protein sequence")
-    model = DtiModel.from_checkpoint(Checkpoint.load(args.checkpoint))
     candidates = load_candidates(args.candidates)
+    model = DtiModel.from_checkpoint(Checkpoint.load(args.checkpoint))
     ranked, errors = rank_candidates(candidates, fasta, model)
     if errors:
         print(f"warning: {len(errors)} candidate(s) skipped", file=sys.stderr)

@@ -155,6 +155,11 @@ class Candidate:
     compound_name: Optional[str]
     smiles: str
 
+    def __post_init__(self):
+        for field, what in (("compound_id", "id"), ("smiles", "smiles")):
+            if not getattr(self, field):
+                raise DataError(f"empty {what} cell")
+
 
 @dataclass
 class RankedCandidate:
@@ -181,7 +186,10 @@ def rank_candidates(candidates, target_fasta: str, model):
     proceeds over the rest. Score ties break by compound_id ascending; each
     score is a plain single-pair model prediction.
     """
-    enc_prot = encode_protein(target_fasta, model.prot_vocab, model.cfg.codec)
+    try:
+        enc_prot = encode_protein(target_fasta, model.prot_vocab, model.cfg.codec)
+    except DataError as exc:
+        raise DataError(f"target protein: {exc}") from exc
     usable, errors = [], []
     for cand in candidates:
         try:

@@ -185,19 +185,17 @@ class DtiModel:
         `p_rep`, when given, is the protein tower's output for exactly these
         protein ids; the tower is then not run again.
 
-        Without an rng (inference) the encoder runs only what the pooling
-        reads: the molecule columns up to the last one holding a real token
-        in any row, and under "rep" pooling a last block whose only query is
-        row 0 (queries of zeros [B, 1]). Neither changes the result in exact
-        arithmetic, since padded keys get zero weight. With an rng (training)
-        it runs every position, so the dropout draws keep their shapes.
+        The encoder runs only what the pooling reads: the molecule columns up
+        to the last one holding a real token in any row, and under "rep"
+        pooling a last block whose only query is row 0 (queries of zeros
+        [B, 1]). Neither changes the result in exact arithmetic, since padded
+        keys get zero weight.
         """
         mol_mask = mol_ids != PAD_ID
         rep = self.cfg.truncation_pooling == "rep"
-        if rng is None:
-            width = mol_mask.shape[1] - int(mol_mask.any(axis=0)[::-1].argmax())
-            mol_ids, mol_mask = mol_ids[:, :width], mol_mask[:, :width]
-        queries = np.zeros((len(mol_ids), 1), dtype=np.int64) if rep and rng is None else None
+        width = mol_mask.shape[1] - int(mol_mask.any(axis=0)[::-1].argmax())
+        mol_ids, mol_mask = mol_ids[:, :width], mol_mask[:, :width]
+        queries = np.zeros((len(mol_ids), 1), dtype=np.int64) if rep else None
         encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, rng, queries)
         if rep:
             m_rep = mt.pool_rep_batch(encoded)

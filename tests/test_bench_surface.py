@@ -239,13 +239,13 @@ def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
     mol_ids = np.stack([r.mol for r in ran])
     prot_ids = np.stack([r.prot for r in ran])
 
-    def positions(batch, inference):
-        # an inference batch runs the columns up to its longest real length
+    def positions(batch):
+        # every batch runs the columns up to its longest real length
         ids = np.stack([r.mol for r in batch])
-        return ids.shape[0] * ((ids != 0).sum(axis=1).max() if inference else ids.shape[1])
+        return ids.shape[0] * (ids != 0).sum(axis=1).max()
 
     assert 0 < counted("transformer.real_tokens") == (mol_ids != 0).sum() < mol_ids.size
     assert counted("transformer.positions") == (
-        positions(records, True) + positions(train, False) + positions(dev, True))
+        positions(records) + positions(train) + positions(dev))
     assert 0 < counted("protein_cnn.real_positions") == (prot_ids != 0).sum() < prot_ids.size
     assert counted("protein_cnn.positions") == prot_ids.size

@@ -195,6 +195,20 @@ def test_rank_with_no_encodable_candidate_prints_only_the_header(workspace, caps
     assert sorted(line.split(":")[0].strip() for line in warnings[1:]) == ["7", "8"]
 
 
+def test_rank_names_the_target_protein_it_cannot_encode(workspace, capsys):
+    fit_out = workspace / "fit"
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(fit_out), "--config", str(workspace / "config.txt")]) == 0
+    capsys.readouterr()  # drop the training logs
+    assert main(["rank", "--checkpoint", str(fit_out / "model.ckpt"),
+                 "--candidates", str(workspace / "candidates.tsv"),
+                 "--target-fasta", PROTS[0].lower()]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: target protein: unknown character "
+                            f"{PROTS[0][0].lower()!r} at position 0\n")
+    assert captured.out == ""
+
+
 def test_truncated_checkpoint_exits_two(workspace, capsys):
     blob = Checkpoint(meta={"kind": "dti"}, tensors={"w": np.ones(3)}).to_bytes()
     ckpt = workspace / "cut.ckpt"
@@ -552,6 +566,8 @@ AFFINITY_HEADER = "smiles\tfasta\taffinity\n"
 PREDICTION_HEADER = "affinity\tprediction\n"
 FINETUNE = ["finetune", "--data", "x.tsv", "--out", "out"]
 EVALUATE = ["evaluate", "--predictions", "p.tsv"]
+CANDIDATE_HEADER = "id\tname\tsmiles\n"
+RANK = ["rank", "--checkpoint", "m.ckpt", "--candidates", "c.tsv", "--target-fasta", "MKT"]
 MISSING = "No such file or directory"
 
 
@@ -583,9 +599,12 @@ MISSING = "No such file or directory"
     ({"corpus.txt": "CCO\n"},
      ["pretrain", "--corpus", "corpus.txt", "--vocab", "v.txt", "--out", "out"],
      f"cannot read v.txt: [Errno 2] {MISSING}: 'v.txt'"),
+    ({"c.tsv": CANDIDATE_HEADER + "1\tA\tCCO\n\tB\tCCN\n"}, RANK, "c.tsv line 3: empty id cell"),
+    ({"c.tsv": CANDIDATE_HEADER + "1\tA\t\n"}, RANK, "c.tsv line 2: empty smiles cell"),
 ], ids=["bad-affinity", "nan-affinity", "bad-fold-id", "fold-out-of-range", "negative-kd",
         "ragged-row", "no-rows", "empty-smiles", "empty-fasta", "bad-number", "inf-prediction",
-        "no-prediction-rows", "missing-table", "missing-predictions", "missing-vocab"])
+        "no-prediction-rows", "missing-table", "missing-predictions", "missing-vocab",
+        "empty-candidate-id", "empty-candidate-smiles"])
 def test_malformed_input_error_text(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -13,7 +13,7 @@ from moldta import transformer as transformer_module
 from moldta.checkpoint import Checkpoint
 from moldta.codec import (MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab, encode_molecule,
                           encode_protein)
-from moldta.interaction import InteractionConfig, predict_affinity_batch
+from moldta.interaction import InteractionConfig, mse_loss, predict_affinity_batch
 from moldta.model import MODE_PRESETS, DtiModel, ModelConfig
 from moldta.protein_cnn import ProteinCnnConfig, protein_forward_ids
 from moldta.transformer import TransformerConfig
@@ -146,12 +146,14 @@ def test_predict_batch_size_changes_scores_only_within_bound():
     assert np.max(np.abs(one - eight)) <= 1e-12
 
 
-def two_layer_setup(pooling, seed=5):
+def two_layer_setup(pooling, seed=5, dropout=0.1):
     """tiny_setup with two encoder layers, so both a first and a last block
-    run, under the given truncation pooling."""
+    run, under the given truncation pooling and encoder and head dropout."""
     model, codec, mol_vocab, prot_vocab = tiny_setup()
-    cfg = ModelConfig(codec=codec, transformer=replace(model.cfg.transformer, num_layers=2),
-                      protein=model.cfg.protein, interaction=model.cfg.interaction,
+    cfg = ModelConfig(codec=codec,
+                      transformer=replace(model.cfg.transformer, num_layers=2, dropout=dropout),
+                      protein=model.cfg.protein,
+                      interaction=replace(model.cfg.interaction, dropout=dropout),
                       truncation_pooling=pooling)
     return DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(seed)), codec, prot_vocab
 
@@ -174,22 +176,21 @@ def linear_input_rows(monkeypatch, model):
 
 @pytest.mark.parametrize("pooling", ["rep", "mean"])
 @pytest.mark.parametrize("training", [False, True])
-def test_encoder_rows_and_columns_are_trimmed_at_inference_only(monkeypatch, pooling,
-                                                                training):
+def test_encoder_rows_and_columns_are_trimmed_in_training_as_at_inference(monkeypatch, pooling,
+                                                                         training):
     model, codec, prot_vocab = two_layer_setup(pooling)
     mol = encode_molecule("CN=C=O", model.mol_vocab, codec, model.cfg.keep_rep_when_truncated)
     prot = encode_protein("MKTAYIAKQR", prot_vocab, codec)
     seen = linear_input_rows(monkeypatch, model)
-    if training:  # every position runs: dropout draws one number per element
+    if training:  # dropout on changes no shape
         model.forward_ids(mol[None], prot[None], np.random.default_rng(0))
-        width = codec.mol_max_len
     else:
         model.predict([mol], [prot])
-        width = int((mol != PAD_ID).sum())
-        assert width < codec.mol_max_len
-    # keys and values need every real row; at inference under rep pooling
-    # the last block's query, output projection and FFN run for row 0 alone
-    last_rows = (1, 1) if pooling == "rep" and not training else (1, width)
+    width = int((mol != PAD_ID).sum())
+    assert width < codec.mol_max_len
+    # keys and values need every real row; under rep pooling the last
+    # block's query, output projection and FFN run for row 0 alone
+    last_rows = (1, 1) if pooling == "rep" else (1, width)
     expected = {}
     for i in range(2):
         for name in ("wq", "wk", "wv", "wo", "ff1_w", "ff2_w"):
@@ -198,19 +199,24 @@ def test_encoder_rows_and_columns_are_trimmed_at_inference_only(monkeypatch, poo
     assert seen == expected
 
 
+def full_width_scores(model, mol_ids, prot_ids, rng=None):
+    """The pooled molecule vectors and the scores of an id batch from the
+    encoder on the padded ids: every column and, under rep pooling, every
+    row of the last block."""
+    encoded = transformer_module.encode_ids(mol_ids, mol_ids != PAD_ID, model.tw, rng)
+    if model.cfg.truncation_pooling == "rep":
+        m_rep = transformer_module.pool_rep_batch(encoded)
+    else:
+        m_rep = transformer_module.pool_mean_batch(encoded, mol_ids != PAD_ID)
+    p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, model.pw)
+    return m_rep, predict_affinity_batch(m_rep, p_rep, model.iw, rng)
+
+
 def full_width_reference(model, mol, prot):
-    """The pooled molecule vector and the score of one pair from the encoder
-    on the padded ids: every column and, under rep pooling, every row of the
-    last block."""
-    ids, prot_ids = mol[None], prot[None]
+    """full_width_scores of one pair, as its pooled vector and its score."""
     with ad.no_grad():
-        encoded = transformer_module.encode_ids(ids, ids != PAD_ID, model.tw)
-        if model.cfg.truncation_pooling == "rep":
-            m_rep = transformer_module.pool_rep_batch(encoded)
-        else:
-            m_rep = transformer_module.pool_mean_batch(encoded, ids != PAD_ID)
-        p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, model.pw)
-        return m_rep.data[0], float(predict_affinity_batch(m_rep, p_rep, model.iw).data[0])
+        m_rep, score = full_width_scores(model, mol[None], prot[None])
+        return m_rep.data[0], float(score.data[0])
 
 
 @pytest.mark.parametrize("pooling", ["rep", "mean"])
@@ -237,6 +243,37 @@ def test_predict_matches_the_untrimmed_full_width_encoder(monkeypatch, pooling):
         got = model.predict(mols, prots, batch_size=batch_size)
         assert np.max(np.abs(got - np.array(scores))) <= 1e-12
         assert np.max(np.abs(np.array(received) - np.array(pooled))) <= 1e-12
+
+
+def parameter_gradients(model, loss) -> dict:
+    """Every parameter's gradient of `loss`, zeros where it reads none."""
+    params = model.named_params()
+    for t in params.values():
+        t.grad = None
+    ad.backward(loss)
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in params.items()}
+
+
+@pytest.mark.parametrize("pooling", ["rep", "mean"])
+@pytest.mark.parametrize("smiles, at_cap", [(("C", "CCO", "CN=C=O"), False),
+                                            (("CCO", "c1ccccc1CCOCN=C=O"), True)],
+                         ids=["trimmed", "at-cap"])
+def test_finetuning_step_gradients_match_the_full_width_encoder(pooling, smiles, at_cap):
+    model, codec, prot_vocab = two_layer_setup(pooling, dropout=0.0)
+    keep_rep = model.cfg.keep_rep_when_truncated
+    mol_ids = np.stack([encode_molecule(s, model.mol_vocab, codec, keep_rep) for s in smiles])
+    prot_ids = np.stack([encode_protein(PROTS[i % 3], prot_vocab, codec)
+                         for i in range(len(smiles))])
+    assert (mol_ids[:, -1] != PAD_ID).any() == at_cap
+    targets = np.arange(len(smiles)) + 4.0
+    got = parameter_gradients(model, mse_loss(
+        model.forward_ids(mol_ids, prot_ids, np.random.default_rng(0)), targets))
+    _, scores = full_width_scores(model, mol_ids, prot_ids, np.random.default_rng(0))
+    want = parameter_gradients(model, mse_loss(scores, targets))
+    assert max(np.abs(g).max() for g in want.values()) > 0.1
+    for name, g in want.items():
+        assert np.max(np.abs(got[name] - g)) <= 1e-12, name
 
 
 def test_from_checkpoint_draws_no_random_weights(monkeypatch):

@@ -14,18 +14,19 @@ wrong kind, a two-record target file). At seed 1 it also runs pretrain
 molecule cap of 6 tokens, which truncates most molecules: once with
 `rep` and once with `mean` truncation pooling; then a finetune under the
 `mean` config warm-started from the `rep` pretraining checkpoint, whose
-pooling does not match (a data error). Then it runs seven malformed
+pooling does not match (a data error). Then it runs nine malformed
 inputs, each a data error naming its line (finetune on a table with a bad
 affinity, one with a bad fold id, a davis table with a zero Kd under
 --raw-kd, one with a ragged row, and on the tiny config the kiba table
 with an empty smiles cell and with an empty fasta cell; evaluate on
-predictions holding inf),
-and rank given --seed, an option only the training commands take (a
-usage error). Last, it runs rank on three copies of the seed-1 kiba
-checkpoint whose metadata holds a mistyped value: a float
-`model.transformer.num_layers` (1.5), an integer `mol_vocab` (5) or an
-integer token in `mol_vocab` (7 at id 5); the tensors are left as they
-are. Every command runs with relative paths, so its output does not
+predictions holding inf; rank on candidates with an empty id cell and
+with an empty smiles cell), rank against a lower-case target protein (a
+data error naming the target), and rank given --seed, an option only the
+training commands take (a usage error). Last, it runs rank on three
+copies of the seed-1 kiba checkpoint whose metadata holds a mistyped
+value: a float `model.transformer.num_layers` (1.5), an integer
+`mol_vocab` (5) or an integer token in `mol_vocab` (7 at id 5); the
+tensors are left as they are. Every command runs with relative paths, so its output does not
 depend on where the directory is.
 
 It prints one line per command (name, exit code, sha256 of stdout and of
@@ -66,6 +67,8 @@ MALFORMED = {
     "zero_kd.tsv": "smiles\tfasta\taffinity\n{row}\t10\n\n{row}\t0\n",
     "ragged.tsv": "smiles\tfasta\taffinity\n{row}\t5.0\n{row}\n",
     "inf_predictions.tsv": "affinity\tprediction\n1.0\t1.5\n2.0\tinf\n",
+    "empty_id_candidates.tsv": "id\tname\tsmiles\n1\tA\tCCO\n\tB\tCCN\n",
+    "empty_smiles_candidates.tsv": "id\tname\tsmiles\n1\tA\t\n",
 }
 
 
@@ -181,8 +184,15 @@ def matrix(prots) -> list:
         ("malformed-empty-smiles", [*malformed, "empty_smiles.tsv", "--config", "config.txt"]),
         ("malformed-empty-fasta", [*malformed, "empty_fasta.tsv", "--config", "config.txt"]),
         ("malformed-inf-prediction", ["evaluate", "--predictions", "inf_predictions.tsv"]),
-        ("rank-seed-option", ["rank", "--checkpoint", f"seed{SEEDS[0]}/kiba/model.ckpt",
-                              "--candidates", "candidates.tsv", "--target-fasta", prots[0],
+    ]
+    rank = ["rank", "--checkpoint", f"seed{SEEDS[0]}/kiba/model.ckpt", "--candidates"]
+    runs += [
+        ("malformed-empty-candidate-id", [*rank, "empty_id_candidates.tsv",
+                                          "--target-fasta", prots[0]]),
+        ("malformed-empty-candidate-smiles", [*rank, "empty_smiles_candidates.tsv",
+                                              "--target-fasta", prots[0]]),
+        ("rank-lowercase-target", [*rank, "candidates.tsv", "--target-fasta", prots[0].lower()]),
+        ("rank-seed-option", [*rank, "candidates.tsv", "--target-fasta", prots[0],
                               "--seed", str(SEEDS[0])]),
     ]
     return runs
