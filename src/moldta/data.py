@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import encode_molecule, encode_protein, read_lines
+from .codec import PAD_ID, encode_molecule, encode_protein, read_lines
 from .errors import DataError
 
 N_FOLDS = 5
@@ -186,8 +186,13 @@ def rank_candidates(candidates, target_fasta: str, model):
     proceeds over the rest. Score ties break by compound_id ascending; each
     score is a plain single-pair model prediction.
     """
+    from .protein_cnn import receptive_field  # here: importing data loads no model code
     try:
         enc_prot = encode_protein(target_fasta, model.prot_vocab, model.cfg.codec)
+        real, rf = int(np.count_nonzero(enc_prot != PAD_ID)), receptive_field(model.cfg.protein)
+        if real < rf:
+            raise DataError(f"protein with {real} real tokens is shorter than the "
+                            f"receptive field {rf}")
     except DataError as exc:
         raise DataError(f"target protein: {exc}") from exc
     usable, errors = [], []

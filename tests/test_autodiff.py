@@ -2,6 +2,8 @@
 reverse-mode gradients against central finite differences for every op.
 """
 
+import math
+import warnings
 import weakref
 
 import numpy as np
@@ -89,6 +91,26 @@ def test_gelu_values():
     assert out[0] == 0.0
     assert abs(out[1] - GELU_1) < 1e-5
     assert abs(out[2] - 10.0) < 1e-6
+
+
+def test_erf_against_math_erf_and_at_its_edges():
+    u = np.concatenate([np.linspace(-30.0, 30.0, 240_001),
+                        np.geomspace(1e-300, 1.0, 20_001), -np.geomspace(1e-300, 1.0, 20_001)])
+    expected = np.array([math.erf(v) for v in u.tolist()])
+    got = ad._erf(u)
+    assert np.all(np.abs(got - expected) <= 3 * np.spacing(np.abs(expected)))
+    assert np.array_equal(ad._erf(-u).view(np.int64), (-got).view(np.int64))
+
+    edges = [(0.0, 0.0), (-0.0, -0.0), (np.inf, 1.0), (-np.inf, -1.0), (1.0, 0.8427007929497148),
+             (np.nextafter(1.0, 2.0), 0.842700792949715), (5.92, 1.0 - 2.0 ** -53), (6.0, 1.0),
+             (8.0, 1.0), (-8.0, -1.0), (1e200, 1.0), (-1e200, -1.0)]
+    u, want = np.array(edges).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad._erf(u)
+    assert out.tolist() == want.tolist()
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+    assert np.isnan(ad._erf(np.array([np.nan]))).all()
 
 
 def test_layer_norm_constant_row_is_zero():

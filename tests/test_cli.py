@@ -7,6 +7,7 @@ import pytest
 
 from dataclasses import asdict
 
+from moldta import data
 from moldta.checkpoint import Checkpoint
 from moldta.cli import load_config, main
 from moldta.codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab, encode_molecule
@@ -206,6 +207,26 @@ def test_rank_names_the_target_protein_it_cannot_encode(workspace, capsys):
     captured = capsys.readouterr()
     assert captured.err == (f"data error: target protein: unknown character "
                             f"{PROTS[0][0].lower()!r} at position 0\n")
+    assert captured.out == ""
+
+
+def test_rank_rejects_a_target_shorter_than_the_receptive_field(workspace, capsys,
+                                                                 monkeypatch):
+    fit_out = workspace / "fit"
+    assert main(["finetune", "--data", str(workspace / "data.tsv"),
+                 "--out", str(fit_out), "--config", str(workspace / "config.txt")]) == 0
+    capsys.readouterr()  # drop the training logs
+
+    def no_candidate_encoded(*args):
+        raise AssertionError("a candidate was encoded")
+
+    monkeypatch.setattr(data, "encode_molecule", no_candidate_encoded)
+    assert main(["rank", "--checkpoint", str(fit_out / "model.ckpt"),
+                 "--candidates", str(workspace / "candidates.tsv"),
+                 "--target-fasta", "MK"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("data error: target protein: protein with 2 real tokens "
+                            "is shorter than the receptive field 5\n")
     assert captured.out == ""
 
 

@@ -1,6 +1,7 @@
 """Dataset ingestion, fold partitioning, and candidate ranking."""
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,17 @@ def test_importing_data_loads_no_model_training_or_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_importing_every_module_loads_no_scipy():
+    names = sorted(m.name for m in pkgutil.iter_modules(moldta.__path__))
+    assert len(names) == 12  # the modules the benchmark's import probe loads
+    code = (f"import importlib, sys\nfor name in {names!r}:\n"
+            f"    importlib.import_module('moldta.' + name)\nprint('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(moldta.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
