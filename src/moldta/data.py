@@ -186,13 +186,10 @@ def rank_candidates(candidates, target_fasta: str, model):
     proceeds over the rest. Score ties break by compound_id ascending; each
     score is a plain single-pair model prediction.
     """
-    from .protein_cnn import receptive_field  # here: importing data loads no model code
+    from .protein_cnn import check_real_lengths  # here: importing data loads no model code
     try:
         enc_prot = encode_protein(target_fasta, model.prot_vocab, model.cfg.codec)
-        real, rf = int(np.count_nonzero(enc_prot != PAD_ID)), receptive_field(model.cfg.protein)
-        if real < rf:
-            raise DataError(f"protein with {real} real tokens is shorter than the "
-                            f"receptive field {rf}")
+        check_real_lengths([np.count_nonzero(enc_prot != PAD_ID)], model.cfg.protein)
     except DataError as exc:
         raise DataError(f"target protein: {exc}") from exc
     usable, errors = [], []

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import check_dims
+from .errors import DataError, check_dims
 from .transformer import _param, _zeros
 
 
@@ -67,6 +67,16 @@ def receptive_field(cfg: ProteinCnnConfig) -> int:
     return sum(s - 1 for s in cfg.filter_lengths) + 1
 
 
+def check_real_lengths(real_counts, cfg: ProteinCnnConfig) -> None:
+    """Raise DataError when a protein has fewer real tokens than the
+    receptive field; real_counts holds one count per protein."""
+    rf = receptive_field(cfg)
+    shortest = min(real_counts, default=rf)
+    if shortest < rf:
+        raise DataError(f"protein with {int(shortest)} real tokens is shorter than the "
+                        f"receptive field {rf}")
+
+
 def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights) -> Tensor:
     """Tower over an id batch [B, L] -> pooled features [B, m_last].
 
@@ -75,12 +85,7 @@ def protein_forward_ids(ids: np.ndarray, mask: np.ndarray, w: ProteinCnnWeights)
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    rf = receptive_field(w.cfg)
-    real = mask.sum(axis=-1)
-    if (real < rf).any():
-        raise ValueError(
-            f"protein with {int(real.min())} real tokens is shorter than the "
-            f"receptive field {rf}")
+    check_real_lengths(mask.sum(axis=-1).tolist(), w.cfg)
     x = ad.relu(ad.embedding_conv1d(w.pte, ids, w.filters[0], w.biases[0]))
     for f, b in zip(w.filters[1:], w.biases[1:]):
         x = ad.relu(ad.conv1d(x, f, b))

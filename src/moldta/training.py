@@ -21,6 +21,7 @@ from .errors import NumericalError
 from .interaction import mse_loss
 from .metrics import mse
 from .model import DtiModel, ModelConfig, load_warm_start, pretrain_checkpoint
+from .protein_cnn import check_real_lengths
 from .transformer import TransformerConfig, TransformerWeights
 
 MASK_SELECT_RATE = 0.15
@@ -179,8 +180,7 @@ def _masked_lm_logits(example: MaskedExample, w, rng=None):
     queries[rows, slots] = positions
     # the masker never writes PAD_ID, so it still marks the padding
     enc = mt.encode_ids(example.input_ids, example.input_ids != PAD_ID, w, rng, queries)
-    flat = ad.reshape(enc, (b * k, w.cfg.hidden))
-    picked = ad.embedding_lookup(flat, rows * k + slots)
+    picked = ad.embedding_lookup(ad.reshape(enc, (b * k, w.cfg.hidden)), rows * k + slots)
     return mt.lm_logits(picked, w), truths
 
 
@@ -337,6 +337,8 @@ def finetune(train, dev, model_cfg: ModelConfig, run: TrainRunConfig,
     """
     if not train or not dev:
         raise ValueError("finetune needs non-empty train and dev sets")
+    check_real_lengths((np.count_nonzero(r.prot != PAD_ID) for r in train + dev),
+                       model_cfg.protein)
     rng = np.random.default_rng(run.seed)
     model = DtiModel(model_cfg, mol_vocab, prot_vocab, rng)
     if warm_start is not None:

@@ -121,11 +121,14 @@ def attention_block(x: Tensor, key_bias: np.ndarray, layer: LayerWeights,
                     rng=None, queries=None) -> Tensor:
     """One encoder block over [B, L, D]; key_bias [B, 1, 1, L] is 0 at real
     keys and -inf at padding. Dropout runs when an rng is given, over the
-    block's output shape. With queries [B, K] (row indices into L) only
+    block's output shape. With queries [B, K] (row indices into L, which may
+    repeat, picked by embedding_lookup from the flattened [B*L, D] batch) only
     those rows are computed and the output is [B, K, D]; keys and values
     still come from every row."""
     cfg = layer.cfg
-    rows = x if queries is None else ad.gather_rows(x, queries)
+    b, length, width = x.data.shape
+    rows = x if queries is None else ad.embedding_lookup(
+        ad.reshape(x, (b * length, width)), np.arange(b)[:, None] * length + queries)
     ctx = ad.attention(ad.linear(rows, layer.wq, layer.bq), ad.linear(x, layer.wk, layer.bk),
                        ad.linear(x, layer.wv, layer.bv), key_bias, cfg.num_heads)
     attn_out = ad.dropout(ad.linear(ctx, layer.wo, layer.bo), cfg.dropout, rng)

@@ -199,10 +199,11 @@ def test_embedding_lookup_gather_and_scatter():
     np.testing.assert_array_equal(table.grad[:, 0], [1.0, 2.0, 0.0, 1.0])
 
 
-def test_gather_rows_agrees_with_a_loop_oracle():
+def test_embedding_lookup_of_a_flattened_batch_agrees_with_a_loop_oracle():
+    # the query-row pick of transformer.attention_block
     a = Tensor(RNG.normal(size=(3, 5, 4)), requires_grad=True)
     index = np.array([[0, 0], [4, 1], [2, 2]])  # rows 0 and 2 repeat a position
-    out = ad.gather_rows(a, index)
+    out = ad.embedding_lookup(ad.reshape(a, (15, 4)), np.arange(3)[:, None] * 5 + index)
     assert out.data.shape == (3, 2, 4)
     weights = RNG.normal(size=(3, 2, 4))
     ad.backward(ad.reduce_sum(ad.multiply(out, Tensor(weights))))
@@ -212,6 +213,18 @@ def test_gather_rows_agrees_with_a_loop_oracle():
             np.testing.assert_array_equal(out.data[b, k], a.data[b, index[b, k]])
             expected_grad[b, index[b, k]] += weights[b, k]
     np.testing.assert_array_equal(a.grad, expected_grad)
+
+
+def test_embedding_lookup_gradient_is_bitwise_the_add_at_scatter():
+    rng = np.random.default_rng(7)
+    table = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    ids = rng.integers(0, 3, size=(40, 9))  # 360 ids on rows 0-2; rows 3-5 get none
+    weights = rng.normal(size=(40, 9, 5))
+    ad.backward(ad.reduce_sum(ad.multiply(ad.embedding_lookup(table, ids), Tensor(weights))))
+    expected = np.zeros((6, 5))
+    np.add.at(expected, ids.reshape(-1), weights.reshape(-1, 5))
+    assert table.grad.dtype == np.float64
+    np.testing.assert_array_equal(table.grad, expected)
 
 
 def test_embedding_lookup_out_of_range():
@@ -690,14 +703,6 @@ def test_grad_embedding_lookup():
     ids = np.array([[0, 2], [2, 1]])
     check_gradients(lambda t: ad.reduce_sum(ad.gelu(ad.embedding_lookup(t[0], ids))),
                     [RNG.normal(size=(3, 4))])
-
-
-def test_grad_gather_rows():
-    index = np.array([[3, 0, 3], [1, 1, 2]])
-    weights = Tensor(RNG.normal(size=(2, 3, 4)))
-    check_gradients(lambda t: ad.reduce_sum(ad.multiply(ad.gelu(ad.gather_rows(t[0], index)),
-                                                        weights)),
-                    [RNG.normal(size=(2, 4, 4))])
 
 
 @pytest.mark.parametrize("with_bias", [True, False])

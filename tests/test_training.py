@@ -573,6 +573,19 @@ def test_finetune_blowup_first_seen_in_the_dev_pass_names_the_epoch():
             finetune(encoded, encoded, cfg, run, mol_vocab, prot_vocab)
 
 
+def test_finetune_rejects_a_short_dev_protein_before_the_first_step(monkeypatch):
+    _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup()
+    short = encode_affinity_data([Rec("CCO", "MKT", 5.0)], mol_vocab, prot_vocab,
+                                 cfg.codec, True)
+    steps = []
+    monkeypatch.setattr(AdamOptimizer, "step", lambda self, lr: steps.append(lr))
+    run = TrainRunConfig(seed=2, batch_size=4, epochs=1)
+    with pytest.raises(DataError, match="^protein with 3 real tokens is shorter than "
+                                        "the receptive field 7$"):
+        finetune(encoded, short, cfg, run, mol_vocab, prot_vocab)
+    assert steps == []
+
+
 def test_finetune_deterministic():
     _, encoded, cfg, mol_vocab, prot_vocab = tiny_dti_setup(dropout=0.1)
     run = TrainRunConfig(seed=4, batch_size=4, epochs=10, learning_rate=1e-3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capture import SOFTMAX_KERNEL, op_outputs
-from gradcheck import check_param_gradients
+from gradcheck import check_gradients, check_param_gradients
 from moldta import autodiff as ad
 from moldta import transformer as mt
 from moldta.codec import MOLECULE, CodecConfig, build_vocab, encode_molecule
@@ -241,6 +241,19 @@ def test_encode_ids_queries_equal_those_rows_of_the_full_encoding(queries):
     assert out.data.shape == queries.shape + (4,)
     reference = np.take_along_axis(full.data, queries[:, :, None], axis=1)
     assert np.max(np.abs(out.data - reference)) <= 1e-12
+
+
+def test_grad_attention_block_repeated_queries():
+    # the query rows are an embedding_lookup into the flattened batch, and a
+    # repeated query sends both rows' gradients to one input row
+    layer = tiny_weights(seed=11).layers[0]
+    queries = np.array([[3, 0, 3], [1, 1, 2]])
+    key_bias = np.zeros((2, 1, 1, 4))
+    key_bias[1, ..., 3] = -np.inf
+    weights = ad.Tensor(np.random.default_rng(12).normal(size=(2, 3, 4)))
+    check_gradients(lambda t: ad.reduce_sum(ad.multiply(
+        mt.attention_block(t[0], key_bias, layer, queries=queries), weights)),
+        [np.random.default_rng(13).normal(size=(2, 4, 4))])
 
 
 def test_pool_rep_returns_row_zero():
