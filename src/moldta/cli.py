@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -124,9 +125,10 @@ def _configured(build, *args, **kwargs):
         raise UsageError(f"invalid config: {exc}") from exc
 
 
-def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _check_out_dir(path):
+    """Fail before any input is read when --out names an existing non-directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise UsageError(f"--out {path} exists and is not a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _check_out_dir(args.out)
     sections = _sections(args, "codec", "transformer", "model", "run")
     codec_cfg = _configured(CodecConfig, **sections["codec"])
     lines = [line for line in read_lines(args.corpus) if line]
@@ -151,8 +154,7 @@ def cmd_pretrain(args) -> int:
         raise DataError(f"{args.corpus}: no molecules")
     vocab = Vocab.load(args.vocab, MOLECULE) if args.vocab else build_vocab(lines, MOLECULE)
     run = _configured(TrainRunConfig, **sections["run"])
-    rng = np.random.default_rng(run.seed)
-    order = rng.permutation(len(lines))
+    order = np.random.default_rng(run.seed).permutation(len(lines))
     n_heldout = int(len(lines) * run.heldout_fraction)
     heldout = [lines[i] for i in order[:n_heldout]]
     train = [lines[i] for i in order[n_heldout:]]
@@ -172,7 +174,7 @@ def cmd_pretrain(args) -> int:
     log_lines = [f"step {i + 1} loss = {loss!r}" for i, loss in enumerate(result.losses)]
     log_lines.append(f"payload_baseline = {result.payload_baseline!r}")
     log_lines.append(f"heldout_accuracy = {result.heldout_accuracy!r}")
-    _write_text(os.path.join(args.out, "pretrain_log.txt"), "\n".join(log_lines) + "\n")
+    Path(args.out, "pretrain_log.txt").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     print(f"saved checkpoint to {ckpt_path}")
     if result.heldout_accuracy is not None:
         print(f"heldout masked-token accuracy {result.heldout_accuracy:.4f} "
@@ -181,11 +183,10 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    sections = _sections(args, "codec", "transformer", "protein", "interaction",
-                         "model", "run")
-    run = _configured(TrainRunConfig,
-                      **{"learning_rate": MODE_PRESETS[args.mode]["learning_rate"],
-                         **sections["run"]})
+    _check_out_dir(args.out)
+    sections = _sections(args, "codec", "transformer", "protein", "interaction", "model", "run")
+    sections["run"].setdefault("learning_rate", MODE_PRESETS[args.mode]["learning_rate"])
+    run = _configured(TrainRunConfig, **sections["run"])
     records = load_affinity_dataset(args.data, mode=args.mode, raw_kd=args.raw_kd)
     split = split_folds(records, seed=run.seed)
     if not 0 <= args.fold < len(split.folds):
@@ -212,7 +213,7 @@ def cmd_finetune(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     result.best_checkpoint.save(ckpt_path)
-    _write_text(os.path.join(args.out, "finetune_report.txt"), result.report_text())
+    Path(args.out, "finetune_report.txt").write_text(result.report_text(), encoding="utf-8")
     print(f"saved best checkpoint (epoch {result.best_epoch}, "
           f"dev mse {result.best_dev_mse:.6f}) to {ckpt_path}")
     return 0
@@ -220,9 +221,10 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if bool(args.predictions) == bool(args.checkpoint):
-        raise UsageError("evaluate needs exactly one of --predictions or "
-                         "--checkpoint with --data")
+        raise UsageError("evaluate needs exactly one of --predictions or --checkpoint with --data")
     if args.predictions:
+        if args.data or args.raw_kd:
+            raise UsageError("--predictions evaluation takes neither --data nor --raw-kd")
         y, y_hat = load_predictions(args.predictions)
     else:
         if not args.data:
@@ -234,11 +236,10 @@ def cmd_evaluate(args) -> int:
                                        model.cfg.keep_rep_when_truncated)
         y = np.array([r.affinity for r in encoded])
         y_hat = model.predict([r.mol for r in encoded], [r.prot for r in encoded])
-    report = evaluate(y, y_hat, args.mode)
-    text = report.to_text()
+    text = evaluate(y, y_hat, args.mode).to_text()
     print(text, end="")
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -266,7 +267,7 @@ def cmd_rank(args) -> int:
     text = format_ranking(ranked)
     print(text, end="")
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 

@@ -116,11 +116,8 @@ class FoldSplit:
 
     def splits(self):
         """(train, dev) pairs, one per fold: dev = fold i, train = the rest."""
-        out = []
-        for i in range(len(self.folds)):
-            train = [r for j, fold in enumerate(self.folds) if j != i for r in fold]
-            out.append((train, self.folds[i]))
-        return out
+        return [([r for j, fold in enumerate(self.folds) if j != i for r in fold], dev)
+                for i, dev in enumerate(self.folds)]
 
 
 def split_folds(records, seed: int) -> FoldSplit:

@@ -182,8 +182,7 @@ class DtiModel:
         """Affinity predictions [B] for encoded molecule/protein id batches;
         dropout runs when an rng is given.
 
-        `p_rep`, when given, is the protein tower's output for exactly these
-        protein ids; the tower is then not run again.
+        `p_rep`, when given, is the tower's output for these proteins; prot_ids is then unread.
 
         The encoder runs only what the pooling reads: the molecule columns up
         to the last one holding a real token in any row, and under "rep"
@@ -209,24 +208,27 @@ class DtiModel:
         """Inference-mode predictions for aligned lists of encoded molecule
         and protein id arrays, computed without recording a tape.
 
-        A batch whose stacked proteins equal the previous batch's reuses that
-        batch's tower output, so ranking many molecules against one target
-        runs the tower once; every score is still the same computation as a
-        direct call on its batch.
+        The tower runs once per distinct protein, in chunks of batch_size;
+        the encoder and head run on consecutive batches of pairs. A tower row
+        does not depend on the rest of its batch (embedding_conv1d gathers and
+        adds rows, and conv1d's matmul runs one GEMM per protein), so every
+        score is bitwise a forward_ids call on its batch.
         """
         if len(enc_mols) != len(enc_prots):
             raise ValueError("molecule and protein lists must align")
+        rows = {}  # id bytes -> (tower row, ids), in first-appearance order
+        where = np.array([rows.setdefault(p.tobytes(), (len(rows), p))[0] for p in enc_prots])
+        distinct = [ids for _, ids in rows.values()]
+        p_all = np.empty((len(distinct), self.cfg.protein.out_width))
         out = np.empty(len(enc_mols), dtype=np.float64)
-        prev_ids = p_rep = None
         with no_grad():
-            for start in range(0, len(enc_mols), batch_size):
-                mols = enc_mols[start:start + batch_size]
-                prot_ids = np.stack(enc_prots[start:start + batch_size])
-                if not np.array_equal(prot_ids, prev_ids):
-                    p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, self.pw)
-                    prev_ids = prot_ids
-                pred = self.forward_ids(np.stack(mols), prot_ids, p_rep=p_rep)
-                out[start:start + len(mols)] = pred.data
+            for i in range(0, len(distinct), batch_size):
+                ids = np.stack(distinct[i:i + batch_size])
+                p_all[i:i + batch_size] = protein_forward_ids(ids, ids != PAD_ID, self.pw).data
+            for i in range(0, len(enc_mols), batch_size):
+                pairs = slice(i, i + batch_size)
+                out[pairs] = self.forward_ids(np.stack(enc_mols[pairs]), None,
+                                              p_rep=Tensor(p_all[where[pairs]])).data
         return out
 
     def to_checkpoint(self, extra_meta: dict | None = None) -> Checkpoint:

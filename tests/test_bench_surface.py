@@ -234,10 +234,15 @@ def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
     def counted(key):
         return sum(value for (_, k), value in tracer.counts.items() if k == key)
 
-    # predict runs one batch; finetune one training step and one dev batch
+    # predict runs one batch; finetune one training step and one dev batch.
+    # predict runs the tower once per distinct protein of its call
     ran = records + train + dev
     mol_ids = np.stack([r.mol for r in ran])
-    prot_ids = np.stack([r.prot for r in ran])
+
+    def distinct(batch):
+        return list({r.prot.tobytes(): r.prot for r in batch}.values())
+
+    prot_ids = np.stack(distinct(records) + [r.prot for r in train] + distinct(dev))
 
     def positions(batch):
         # every batch runs the columns up to its longest real length

@@ -7,7 +7,7 @@ import pytest
 
 from dataclasses import asdict
 
-from moldta import data
+from moldta import cli, data
 from moldta.checkpoint import Checkpoint
 from moldta.cli import load_config, main
 from moldta.codec import MOLECULE, PAD_ID, PROTEIN, CodecConfig, build_vocab, encode_molecule
@@ -640,6 +640,36 @@ def test_malformed_input_error_text(tmp_path, monkeypatch, capsys, files, argv, 
 def test_evaluate_requires_exactly_one_source(workspace, capsys):
     assert main(["evaluate", "--mode", "kiba"]) == 1
     assert main(["evaluate", "--predictions", "x", "--checkpoint", "y"]) == 1
+
+
+@pytest.mark.parametrize("option", [["--data", "missing.tsv"], ["--raw-kd", "--mode", "davis"]])
+def test_evaluate_predictions_rejects_the_checkpoint_options(workspace, capsys, option):
+    preds = workspace / "preds.tsv"
+    preds.write_text("affinity\tprediction\n1.0\t1.5\n2.0\t2.5\n")
+    assert main(["evaluate", "--predictions", str(preds), *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: --predictions evaluation takes neither --data "
+                            "nor --raw-kd\n")
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("pretrain", ["--corpus", "corpus.txt"]),
+    ("finetune", ["--data", "data.tsv"]),
+])
+def test_training_out_that_is_a_file_fails_before_any_input_is_read(
+        workspace, capsys, monkeypatch, command, inputs):
+    monkeypatch.chdir(workspace)
+    (workspace / "outfile").write_text("kept\n")
+    read = []
+    monkeypatch.setattr(data, "read_lines", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "read_lines", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "load_config", lambda path: read.append(path))
+    assert main([command, *inputs, "--out", "outfile", "--config", "config.txt"]) == 1
+    assert capsys.readouterr().err == ("usage error: --out outfile exists and is not a "
+                                       "directory\n")
+    assert read == []
+    assert (workspace / "outfile").read_text() == "kept\n"
 
 
 def test_rank_target_file_fasta_format(workspace, capsys):

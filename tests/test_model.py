@@ -110,13 +110,14 @@ def count_tower_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("batch_size, tower_rows", [
-    # one call per run of equal proteins at batch 1; at batch 3 the second
-    # batch of three c's reuses the first one's output
-    (1, [1] * 9),
-    (3, [3, 3, 3, 2]),
+    # three distinct proteins: one tower row per call at batch 1, one call
+    # at batch 3, and one call at batch 8, which they do not fill
+    (1, [1, 1, 1]),
+    (3, [3]),
+    (8, [3]),
 ])
-def test_predict_reuses_tower_only_for_equal_batches_bitwise(monkeypatch, batch_size,
-                                                             tower_rows):
+def test_predict_runs_the_tower_once_per_distinct_protein_bitwise(monkeypatch, batch_size,
+                                                                  tower_rows):
     model, codec, mol_vocab, prot_vocab = tiny_setup(seed=2)
     a, b, c = (encode_protein(p, prot_vocab, codec) for p in PROTS)
     # alternating, then repeated, then distinct, with a short last batch at 3
@@ -132,6 +133,14 @@ def test_predict_reuses_tower_only_for_equal_batches_bitwise(monkeypatch, batch_
     got = model.predict(mols, prots, batch_size=batch_size)
     assert got.tobytes() == np.array(expected).tobytes()
     assert calls == tower_rows
+
+
+def test_predict_of_no_pairs_is_an_empty_float64_array(monkeypatch):
+    model = tiny_setup()[0]
+    calls = count_tower_calls(monkeypatch)
+    got = model.predict([], [])
+    assert got.dtype == np.float64 and got.shape == (0,)
+    assert calls == []
 
 
 def test_predict_batch_size_changes_scores_only_within_bound():

@@ -120,6 +120,30 @@ def test_locality_distant_permutation_leaves_conv_columns_unchanged():
             np.testing.assert_array_equal(last_a[0, pos], last_b[0, pos])
 
 
+@pytest.mark.parametrize("cfg, length", [
+    (TINY, 30),
+    (ProteinCnnConfig(vocab_size=26), 120),  # the default kiba tower's widths
+])
+@pytest.mark.parametrize("batch_size", [1, 3, 10])
+def test_each_row_is_bitwise_the_same_whatever_else_is_in_its_batch(cfg, length, batch_size):
+    # DtiModel.predict runs each distinct protein once, in batches that hold
+    # other proteins than a direct call would; its scores rely on this
+    rng = np.random.default_rng(5)
+    w = ProteinCnnWeights(cfg, rng)
+    ids = rng.integers(1, cfg.vocab_size, size=(10, length))
+    for row, real in enumerate(rng.integers(receptive_field(cfg), length + 1, size=10)):
+        ids[row, real:] = PAD_ID
+    alone = [protein_forward_ids(ids[i:i + 1], ids[i:i + 1] != PAD_ID, w).data[0]
+             for i in range(len(ids))]
+    for _ in range(3):
+        order = rng.permutation(len(ids))
+        for start in range(0, len(ids), batch_size):
+            rows = order[start:start + batch_size]
+            out = protein_forward_ids(ids[rows], ids[rows] != PAD_ID, w).data
+            for got, i in zip(out, rows):
+                assert got.tobytes() == alone[i].tobytes()
+
+
 def test_inference_deterministic():
     w = tiny_weights()
     ids = np.arange(15, dtype=np.int64).reshape(1, 15) % 6

@@ -22,7 +22,9 @@ with an empty smiles cell and with an empty fasta cell; evaluate on
 predictions holding inf; rank on candidates with an empty id cell and
 with an empty smiles cell), rank against a lower-case target protein (a
 data error naming the target), and rank given --seed, an option only the
-training commands take (a usage error). Last, it runs rank on three
+training commands take (a usage error). Then it runs four more usage
+errors: pretrain and finetune whose --out names an existing file, and
+evaluate --predictions given --data or --raw-kd. Last, it runs rank on three
 copies of the seed-1 kiba checkpoint whose metadata holds a mistyped
 value: a float `model.transformer.num_layers` (1.5), an integer
 `mol_vocab` (5) or an integer token in `mol_vocab` (7 at id 5); the
@@ -117,6 +119,8 @@ def write_inputs(work: Path, inputs: dict):
     (work / "target.fasta").write_text(f">one\n{prots[0][:14]}\n{prots[0][14:]}\n")
     (work / "two.fasta").write_text(f">first\n{prots[0]}\n>second\n{prots[1]}\n")
     (work / "protein_vocab.txt").write_text("C\nN\n")
+    (work / "predictions.tsv").write_text("affinity\tprediction\n1.0\t1.5\n2.0\t2.5\n3.0\t2.0\n")
+    (work / "outfile").write_text("not a directory\n")  # where --out wants a directory
     row = f"{smis[0]}\t{prots[0]}"
     for name, text in MALFORMED.items():
         (work / name).write_text(text.format(row=row))
@@ -194,6 +198,14 @@ def matrix(prots) -> list:
         ("rank-lowercase-target", [*rank, "candidates.tsv", "--target-fasta", prots[0].lower()]),
         ("rank-seed-option", [*rank, "candidates.tsv", "--target-fasta", prots[0],
                               "--seed", str(SEEDS[0])]),
+        ("pretrain-out-is-a-file", ["pretrain", "--corpus", "corpus.txt", "--out", "outfile",
+                                    "--config", "config.txt"]),
+        ("finetune-out-is-a-file", ["finetune", "--data", "kiba.tsv", "--out", "outfile",
+                                    "--config", "config.txt"]),
+        ("evaluate-predictions-with-data", ["evaluate", "--predictions", "predictions.tsv",
+                                            "--data", "kiba.tsv"]),
+        ("evaluate-predictions-with-raw-kd", ["evaluate", "--predictions", "predictions.tsv",
+                                              "--raw-kd", "--mode", "davis"]),
     ]
     return runs
 
