@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .codec import (MOLECULE, PROTEIN, CodecConfig, Vocab, build_vocab, read_lines,
                     tokenize_molecule)
-from .data import (format_ranking, load_affinity_dataset, load_candidates,
+from .data import (N_FOLDS, format_ranking, load_affinity_dataset, load_candidates,
                    load_predictions, rank_candidates, split_folds)
 from .errors import DataError, NumericalError
 from .metrics import evaluate
@@ -131,6 +131,12 @@ def _check_out_dir(path):
         raise UsageError(f"--out {path} exists and is not a directory")
 
 
+def _check_raw_kd(args):
+    """Fail before any input is read when --raw-kd comes without --mode davis."""
+    if args.raw_kd and args.mode != "davis":
+        raise UsageError("--raw-kd applies to --mode davis only")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -184,14 +190,14 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     _check_out_dir(args.out)
+    _check_raw_kd(args)
+    if not 0 <= args.fold < N_FOLDS:
+        raise UsageError(f"--fold must lie in 0..{N_FOLDS - 1}")
     sections = _sections(args, "codec", "transformer", "protein", "interaction", "model", "run")
     sections["run"].setdefault("learning_rate", MODE_PRESETS[args.mode]["learning_rate"])
     run = _configured(TrainRunConfig, **sections["run"])
     records = load_affinity_dataset(args.data, mode=args.mode, raw_kd=args.raw_kd)
-    split = split_folds(records, seed=run.seed)
-    if not 0 <= args.fold < len(split.folds):
-        raise UsageError(f"--fold must lie in 0..{len(split.folds) - 1}")
-    train_records, dev_records = split.splits()[args.fold]
+    train_records, dev_records = split_folds(records, seed=run.seed).splits()[args.fold]
     if not train_records or not dev_records:
         raise DataError("chosen fold leaves an empty train or dev set")
 
@@ -229,6 +235,7 @@ def cmd_evaluate(args) -> int:
     else:
         if not args.data:
             raise UsageError("--checkpoint evaluation needs --data")
+        _check_raw_kd(args)
         model = DtiModel.from_checkpoint(Checkpoint.load(args.checkpoint))
         records = load_affinity_dataset(args.data, mode=args.mode, raw_kd=args.raw_kd)
         encoded = encode_affinity_data(records, model.mol_vocab, model.prot_vocab,
@@ -244,9 +251,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if bool(args.target_fasta) == bool(args.target_file):
+    if (args.target_fasta is None) == (args.target_file is None):
         raise UsageError("rank needs exactly one of --target-fasta or --target-file")
-    if args.target_file:
+    if args.target_file is not None:
         lines = read_lines(args.target_file)
         n_records = sum(line.startswith(">") for line in lines)
         if n_records > 1:

@@ -154,6 +154,17 @@ def load_warm_start(model: DtiModel, ckpt: Checkpoint):
     ckpt.restore(model.tw.named(), "transformer.")
 
 
+def rows_per_pair(id_arrays, run, batch_size: int) -> list:
+    """run's output row for each array, running each distinct array (keyed by
+    its id bytes) once, in first-appearance order and in chunks of batch_size."""
+    slots = {}
+    where = [slots.setdefault(ids.tobytes(), (len(slots), ids))[0] for ids in id_arrays]
+    distinct = [ids for _, ids in slots.values()]
+    rows = [row for i in range(0, len(distinct), batch_size)
+            for row in run(np.stack(distinct[i:i + batch_size])).data]
+    return [rows[j] for j in where]
+
+
 class DtiModel:
     """Molecule encoder + protein tower + interaction head."""
 
@@ -178,11 +189,9 @@ class DtiModel:
             out.update({f"{prefix}.{name}": t for name, t in part.named().items()})
         return out
 
-    def forward_ids(self, mol_ids, prot_ids, rng=None, p_rep: Tensor | None = None) -> Tensor:
-        """Affinity predictions [B] for encoded molecule/protein id batches;
+    def encode_molecules(self, mol_ids, rng=None) -> Tensor:
+        """Pooled molecule vectors [B, hidden] for an encoded id batch;
         dropout runs when an rng is given.
-
-        `p_rep`, when given, is the tower's output for these proteins; prot_ids is then unread.
 
         The encoder runs only what the pooling reads: the molecule columns up
         to the last one holding a real token in any row, and under "rep"
@@ -196,50 +205,39 @@ class DtiModel:
         mol_ids, mol_mask = mol_ids[:, :width], mol_mask[:, :width]
         queries = np.zeros((len(mol_ids), 1), dtype=np.int64) if rep else None
         encoded = mt.encode_ids(mol_ids, mol_mask, self.tw, rng, queries)
-        if rep:
-            m_rep = mt.pool_rep_batch(encoded)
-        else:
-            m_rep = mt.pool_mean_batch(encoded, mol_mask)
-        if p_rep is None:
-            p_rep = protein_forward_ids(prot_ids, prot_ids != PAD_ID, self.pw)
-        return predict_affinity_batch(m_rep, p_rep, self.iw, rng)
+        return mt.pool_rep_batch(encoded) if rep else mt.pool_mean_batch(encoded, mol_mask)
+
+    def encode_proteins(self, prot_ids) -> Tensor:
+        """The protein tower's vectors [B, out_width] for an encoded id batch."""
+        return protein_forward_ids(prot_ids, prot_ids != PAD_ID, self.pw)
+
+    def forward_ids(self, mol_ids, prot_ids, rng=None) -> Tensor:
+        """Affinity predictions [B] for encoded molecule/protein id batches;
+        dropout runs when an rng is given."""
+        return predict_affinity_batch(self.encode_molecules(mol_ids, rng),
+                                      self.encode_proteins(prot_ids), self.iw, rng)
 
     def predict(self, enc_mols, enc_prots, batch_size: int = 32) -> np.ndarray:
         """Inference-mode predictions for aligned lists of encoded molecule
-        and protein id arrays, computed without recording a tape.
-
-        The tower runs once per distinct protein, in chunks of batch_size;
-        the encoder and head run on consecutive batches of pairs. A tower row
-        does not depend on the rest of its batch (embedding_conv1d gathers and
-        adds rows, and conv1d's matmul runs one GEMM per protein), so every
-        score is bitwise a forward_ids call on its batch.
-        """
+        and protein id arrays, computed without recording a tape. The encoder
+        and the tower run once per distinct input (rows_per_pair), the head on
+        consecutive batches of pairs. A tower row does not depend on its batch,
+        so when no molecule repeats, each score is bitwise forward_ids on its batch."""
         if len(enc_mols) != len(enc_prots):
             raise ValueError("molecule and protein lists must align")
-        rows = {}  # id bytes -> (tower row, ids), in first-appearance order
-        where = np.array([rows.setdefault(p.tobytes(), (len(rows), p))[0] for p in enc_prots])
-        distinct = [ids for _, ids in rows.values()]
-        p_all = np.empty((len(distinct), self.cfg.protein.out_width))
         out = np.empty(len(enc_mols), dtype=np.float64)
         with no_grad():
-            for i in range(0, len(distinct), batch_size):
-                ids = np.stack(distinct[i:i + batch_size])
-                p_all[i:i + batch_size] = protein_forward_ids(ids, ids != PAD_ID, self.pw).data
-            for i in range(0, len(enc_mols), batch_size):
+            m_rows = rows_per_pair(enc_mols, self.encode_molecules, batch_size)
+            p_rows = rows_per_pair(enc_prots, self.encode_proteins, batch_size)
+            for i in range(0, len(out), batch_size):
                 pairs = slice(i, i + batch_size)
-                out[pairs] = self.forward_ids(np.stack(enc_mols[pairs]), None,
-                                              p_rep=Tensor(p_all[where[pairs]])).data
+                out[pairs] = predict_affinity_batch(Tensor(np.stack(m_rows[pairs])),
+                                                    Tensor(np.stack(p_rows[pairs])), self.iw).data
         return out
 
     def to_checkpoint(self, extra_meta: dict | None = None) -> Checkpoint:
-        meta = {
-            "kind": "dti",
-            "model": asdict(self.cfg),
-            "mol_vocab": list(self.mol_vocab.tokens),
-            "prot_vocab": list(self.prot_vocab.tokens),
-        }
-        if extra_meta:
-            meta.update(extra_meta)
+        meta = {"kind": "dti", "model": asdict(self.cfg), "mol_vocab": list(self.mol_vocab.tokens),
+                "prot_vocab": list(self.prot_vocab.tokens), **(extra_meta or {})}
         tensors = {name: t.data.copy() for name, t in self.named_params().items()}
         return Checkpoint(meta=meta, tensors=tensors)
 

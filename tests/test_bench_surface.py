@@ -91,9 +91,9 @@ def test_traced_forward_records_layer_spans(moldta):
     assert_restored(before)
     assert traced.tobytes() == model.predict([mol], [prot]).tobytes()
     names = {span[0] for span in tracer.spans}
-    assert {"model.predict", "model.forward_ids", "transformer.encode_ids",
-            "transformer.attention_block", "protein_cnn.forward",
-            "interaction.predict_affinity_batch", "autodiff.matmul"} <= names
+    assert {"model.predict", "transformer.encode_ids", "transformer.attention_block",
+            "protein_cnn.forward", "interaction.predict_affinity_batch",
+            "autodiff.matmul"} <= names
 
 
 def test_traced_finetune_records_dropout_and_backward_spans(moldta):
@@ -221,12 +221,13 @@ def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
                                       10.0 + 0.1 * i)
                for i, s in enumerate(smiles)]
     train, dev = records, records[:2]
+    scored = records * 2  # every molecule and protein repeats in the predict call
     run = training.TrainRunConfig(seed=0, batch_size=len(train), epochs=1)
     model = moldta.model.DtiModel(cfg, mol_vocab, prot_vocab, np.random.default_rng(0))
     tracer, patches = tracing.Tracer(), tracing.Patches()
     try:
         tracing.install_layers(tracer, patches, moldta)
-        model.predict([r.mol for r in records], [r.prot for r in records])
+        model.predict([r.mol for r in scored], [r.prot for r in scored])
         training.finetune(train, dev, cfg, run, mol_vocab, prot_vocab)
     finally:
         patches.restore()
@@ -235,22 +236,22 @@ def test_traced_token_counters_equal_the_non_pad_ids_that_ran(moldta):
         return sum(value for (_, k), value in tracer.counts.items() if k == key)
 
     # predict runs one batch; finetune one training step and one dev batch.
-    # predict runs the tower once per distinct protein of its call
-    ran = records + train + dev
-    mol_ids = np.stack([r.mol for r in ran])
+    # predict runs the encoder once per distinct molecule of its call and
+    # the tower once per distinct protein
+    def distinct(batch, side):
+        return list({getattr(r, side).tobytes(): getattr(r, side) for r in batch}.values())
 
-    def distinct(batch):
-        return list({r.prot.tobytes(): r.prot for r in batch}.values())
-
-    prot_ids = np.stack(distinct(records) + [r.prot for r in train] + distinct(dev))
+    ran = [distinct(scored, "mol"), [r.mol for r in train], distinct(dev, "mol")]
+    mol_ids = np.concatenate([np.stack(batch) for batch in ran])
+    prot_ids = np.stack(distinct(scored, "prot") + [r.prot for r in train]
+                        + distinct(dev, "prot"))
 
     def positions(batch):
         # every batch runs the columns up to its longest real length
-        ids = np.stack([r.mol for r in batch])
+        ids = np.stack(batch)
         return ids.shape[0] * (ids != 0).sum(axis=1).max()
 
     assert 0 < counted("transformer.real_tokens") == (mol_ids != 0).sum() < mol_ids.size
-    assert counted("transformer.positions") == (
-        positions(records) + positions(train) + positions(dev))
+    assert counted("transformer.positions") == sum(positions(batch) for batch in ran)
     assert 0 < counted("protein_cnn.real_positions") == (prot_ids != 0).sum() < prot_ids.size
     assert counted("protein_cnn.positions") == prot_ids.size

@@ -672,6 +672,40 @@ def test_training_out_that_is_a_file_fails_before_any_input_is_read(
     assert (workspace / "outfile").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["finetune", "--data", "empty.tsv", "--fold", "9", "--out", "out"],
+     "--fold must lie in 0..4"),
+    (["finetune", "--data", "data.tsv", "--raw-kd", "--out", "out", "--config", "config.txt"],
+     "--raw-kd applies to --mode davis only"),
+    (["evaluate", "--checkpoint", "m.ckpt", "--data", "data.tsv", "--raw-kd"],
+     "--raw-kd applies to --mode davis only"),
+], ids=["finetune-fold", "finetune-raw-kd", "evaluate-raw-kd"])
+def test_option_conflicts_fail_before_any_input_is_read(workspace, capsys, monkeypatch,
+                                                        argv, message):
+    monkeypatch.chdir(workspace)
+    (workspace / "empty.tsv").write_text(AFFINITY_HEADER)
+    read = []
+    monkeypatch.setattr(data, "read_lines", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "load_config", lambda path: read.append(path))
+    monkeypatch.setattr(Checkpoint, "load", lambda path: read.append(path))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert read == []
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("target", [["--target-fasta", ""], ["--target-file", "header.fasta"]],
+                         ids=["empty-fasta-option", "header-only-file"])
+def test_rank_empty_target_is_a_data_error(workspace, capsys, monkeypatch, target):
+    monkeypatch.chdir(workspace)
+    (workspace / "header.fasta").write_text(">only a header\n")
+    assert main(["rank", "--checkpoint", "m.ckpt", "--candidates", "candidates.tsv",
+                 *target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: empty target protein sequence\n"
+    assert captured.out == ""
+
+
 def test_rank_target_file_fasta_format(workspace, capsys):
     pre_out = workspace / "pre2"
     assert main(["pretrain", "--corpus", str(workspace / "corpus.txt"),

@@ -97,16 +97,38 @@ def test_predict_matches_forward_per_pair():
 PROTS = ("MKTAYIAKQR", "KQRAYMT", "TAYIAKQRMKTA")
 
 
-def count_tower_calls(monkeypatch):
+def count_rows(monkeypatch, owner, name):
+    """A list that receives the number of id rows of every call to owner.name."""
     calls = []
-    tower = model_module.protein_forward_ids
+    run = getattr(owner, name)
 
     def counted(ids, *args, **kwargs):
         calls.append(ids.shape[0])
-        return tower(ids, *args, **kwargs)
+        return run(ids, *args, **kwargs)
 
-    monkeypatch.setattr(model_module, "protein_forward_ids", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def pairs_and_batches(smiles, batch_size, seed):
+    """A model, 14 pairs over the PROTS proteins (alternating, then repeated,
+    then distinct, with a short last batch at 3) and the given molecules, and
+    the scores of forward_ids on consecutive batches of batch_size pairs."""
+    model, codec, mol_vocab, prot_vocab = tiny_setup(seed=seed)
+    a, b, c = (encode_protein(p, prot_vocab, codec) for p in PROTS)
+    prots = [a, b, a, b, a, b, c, c, c, c, c, c, a, b]
+    mols = [encode_molecule(smiles[i % len(smiles)], mol_vocab, codec, False)
+            for i in range(len(prots))]
+    expected = []
+    for start in range(0, len(mols), batch_size):
+        mb, pb = mols[start:start + batch_size], prots[start:start + batch_size]
+        expected.extend(model.forward_ids(np.stack(mb), np.stack(pb)).data)
+    return model, mols, prots, np.array(expected)
+
+
+# fourteen molecules the tiny molecule vocab can encode, none truncated
+DISTINCT_SMILES = ("CCO", "CN=C=O", "c1ccccc1", "OCC", "C=O", "CNC", "NCO", "OCO", "CCN",
+                   "NC=O", "c1ccc1", "CC=O", "ONC", "NNO")
 
 
 @pytest.mark.parametrize("batch_size, tower_rows", [
@@ -118,29 +140,45 @@ def count_tower_calls(monkeypatch):
 ])
 def test_predict_runs_the_tower_once_per_distinct_protein_bitwise(monkeypatch, batch_size,
                                                                   tower_rows):
-    model, codec, mol_vocab, prot_vocab = tiny_setup(seed=2)
-    a, b, c = (encode_protein(p, prot_vocab, codec) for p in PROTS)
-    # alternating, then repeated, then distinct, with a short last batch at 3
-    prots = [a, b, a, b, a, b, c, c, c, c, c, c, a, b]
-    smiles = ("CCO", "CN=C=O", "c1ccccc1", "OCC", "C=O")
-    mols = [encode_molecule(smiles[i % len(smiles)], mol_vocab, codec, False)
-            for i in range(len(prots))]
-    expected = []
-    for start in range(0, len(mols), batch_size):
-        mb, pb = mols[start:start + batch_size], prots[start:start + batch_size]
-        expected.extend(model.forward_ids(np.stack(mb), np.stack(pb)).data)
-    calls = count_tower_calls(monkeypatch)
+    model, mols, prots, expected = pairs_and_batches(DISTINCT_SMILES, batch_size, seed=2)
+    assert len({m.tobytes() for m in mols}) == len(mols)
+    # distinct molecules run in the consecutive batches of pairs
+    encoder_rows = [min(batch_size, len(mols) - i) for i in range(0, len(mols), batch_size)]
+    tower = count_rows(monkeypatch, model_module, "protein_forward_ids")
+    encoder = count_rows(monkeypatch, transformer_module, "encode_ids")
     got = model.predict(mols, prots, batch_size=batch_size)
-    assert got.tobytes() == np.array(expected).tobytes()
-    assert calls == tower_rows
+    assert got.tobytes() == expected.tobytes()
+    assert tower == tower_rows
+    assert encoder == encoder_rows
+
+
+@pytest.mark.parametrize("batch_size, encoder_rows", [
+    # five distinct molecules, each repeated: one encoder row per call at
+    # batch 1, then calls of 3 and 2, then one call of 5
+    (1, [1] * 5),
+    (3, [3, 2]),
+    (8, [5]),
+])
+def test_predict_runs_the_encoder_once_per_distinct_molecule(monkeypatch, batch_size,
+                                                             encoder_rows):
+    smiles = ("CCO", "CN=C=O", "c1ccccc1", "OCC", "C=O")
+    model, mols, prots, expected = pairs_and_batches(smiles, batch_size, seed=2)
+    encoder = count_rows(monkeypatch, transformer_module, "encode_ids")
+    got = model.predict(mols, prots, batch_size=batch_size)
+    assert encoder == encoder_rows
+    if batch_size == 1:  # each molecule is encoded alone either way
+        assert got.tobytes() == expected.tobytes()
+    else:  # regrouped encoder batches move only the last bits
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_predict_of_no_pairs_is_an_empty_float64_array(monkeypatch):
     model = tiny_setup()[0]
-    calls = count_tower_calls(monkeypatch)
+    tower = count_rows(monkeypatch, model_module, "protein_forward_ids")
+    encoder = count_rows(monkeypatch, transformer_module, "encode_ids")
     got = model.predict([], [])
     assert got.dtype == np.float64 and got.shape == (0,)
-    assert calls == []
+    assert tower == [] and encoder == []
 
 
 def test_predict_batch_size_changes_scores_only_within_bound():

@@ -24,8 +24,13 @@ with an empty smiles cell), rank against a lower-case target protein (a
 data error naming the target), and rank given --seed, an option only the
 training commands take (a usage error). Then it runs four more usage
 errors: pretrain and finetune whose --out names an existing file, and
-evaluate --predictions given --data or --raw-kd. Last, it runs rank on three
-copies of the seed-1 kiba checkpoint whose metadata holds a mistyped
+evaluate --predictions given --data or --raw-kd; then three usage errors
+raised before any input is read (finetune --fold 9 on a table with no
+rows, finetune and evaluate --checkpoint given --raw-kd in kiba mode), rank
+given an empty --target-fasta (a data error), and evaluate --checkpoint of
+the seed-1 kiba model on a table that pairs each molecule with both
+proteins, so every molecule repeats within the predict call. Last, it
+runs rank on three copies of the seed-1 kiba checkpoint whose metadata holds a mistyped
 value: a float `model.transformer.num_layers` (1.5), an integer
 `mol_vocab` (5) or an integer token in `mol_vocab` (7 at id 5); the
 tensors are left as they are. Every command runs with relative paths, so its output does not
@@ -112,6 +117,10 @@ def write_inputs(work: Path, inputs: dict):
         kiba.append(f"{s}\t{prots[i % 2]}\t{4.0 + 0.3 * i}")
         davis.append(f"{s}\t{prots[(i + 1) % 2]}\t{10.0 * (i + 1) ** 2}")  # raw Kd, nM
     (work / "kiba.tsv").write_text("\n".join(kiba) + "\n")
+    # each molecule a second time, with the other protein
+    repeats = kiba + [f"{s}\t{prots[(i + 1) % 2]}\t{4.1 + 0.3 * i}" for i, s in enumerate(smis)]
+    (work / "kiba_repeats.tsv").write_text("\n".join(repeats) + "\n")
+    (work / "no_rows.tsv").write_text("smiles\tfasta\taffinity\n")
     (work / "davis.tsv").write_text("\n".join(davis) + "\n")
     # CCX holds a character outside every vocabulary, so rank skips it
     (work / "candidates.tsv").write_text(
@@ -206,6 +215,17 @@ def matrix(prots) -> list:
                                             "--data", "kiba.tsv"]),
         ("evaluate-predictions-with-raw-kd", ["evaluate", "--predictions", "predictions.tsv",
                                               "--raw-kd", "--mode", "davis"]),
+        ("finetune-fold-9-no-rows", ["finetune", "--data", "no_rows.tsv", "--fold", "9",
+                                     "--out", "fold9"]),
+        ("finetune-raw-kd-kiba", ["finetune", "--data", "kiba.tsv", "--raw-kd", "--mode", "kiba",
+                                  "--out", "raw_kd_kiba"]),
+        ("evaluate-checkpoint-raw-kd-kiba", ["evaluate", "--checkpoint",
+                                             f"seed{SEEDS[0]}/kiba/model.ckpt", "--data",
+                                             "kiba.tsv", "--raw-kd", "--mode", "kiba"]),
+        ("rank-empty-target-fasta", [*rank, "candidates.tsv", "--target-fasta", ""]),
+        ("evaluate-checkpoint-repeated-molecules",
+         ["evaluate", "--checkpoint", f"seed{SEEDS[0]}/kiba/model.ckpt", "--data",
+          "kiba_repeats.tsv", "--mode", "kiba", "--out", "evaluate_repeats.txt"]),
     ]
     return runs
 
